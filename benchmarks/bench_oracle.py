@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled enumeration kernels against the pure-Python fallback.
+"""Benchmark the oracle's coset-table search against the tuple kernels.
 
-Each case runs the same counting entry point through both backends and
-checks that the results agree, so this doubles as a consistency check.
-The default set keeps the pure-Python side under a minute in total; pass
+Each case runs one tuple-kernel entry point through the pure-Python
+fallback and, when built, the compiled module, then runs the coset-table
+search at the same relation, generator count and index, and checks that
+all of them agree (the search's counts times (n-1)! are the kernels'
+transitive tuple counts), so this doubles as a consistency check.  The
+default set keeps the pure-Python side under a minute in total; pass
 --full for larger cases where the fallback takes several minutes.
+
+    PYTHONPATH=src python benchmarks/bench_oracle.py [--full]
 """
 
 import argparse
 import time
+from math import factorial
 
 from covercount import _pykernels
+from covercount.oracle import _coset_search
 
 try:
     from covercount import _ckernels
@@ -41,6 +48,32 @@ def run_case(module, entry, args):
     return result, time.perf_counter() - start
 
 
+def run_search(entry, args):
+    """The search's counts in the kernel's terms, and the search's time.
+
+    count_relation_tuples also counts intransitive tuples, which the search
+    never visits, so only its transitive count is compared.
+    """
+    if entry == "count_orientation_split":
+        rel, (gens, n) = _pykernels.REL_SQUARES, args
+    else:
+        rel, gens, n = args
+    _coset_search.cache_clear()
+    start = time.perf_counter()
+    subgroups, classes, orientable = _coset_search(rel, gens, n)
+    seconds = time.perf_counter() - start
+    base = factorial(n - 1)
+    if entry == "count_relation_tuples":
+        return subgroups * base, seconds
+    if entry == "count_transitive_orbits":
+        return (subgroups * base, classes), seconds
+    return (orientable * base, (subgroups - orientable) * base), seconds
+
+
+def comparable(entry, result):
+    return result[1] if entry == "count_relation_tuples" else result
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="include the larger cases")
@@ -49,17 +82,19 @@ def main():
     cases = CASES + (FULL_CASES if options.full else [])
     if _ckernels is None:
         print("compiled kernels not available; timing the pure-Python fallback only")
-    print(f"{'case':26} {'python':>10} {'cython':>10} {'speedup':>9}  result")
+    print(f"{'case':26} {'python':>10} {'cython':>10} {'coset':>10}  result")
     for label, entry, args in cases:
         py_result, py_time = run_case(_pykernels, entry, args)
-        if _ckernels is None:
-            print(f"{label:26} {py_time:9.3f}s {'-':>10} {'-':>9}  {py_result}")
-            continue
-        c_result, c_time = run_case(_ckernels, entry, args)
-        if py_result != c_result:
-            raise SystemExit(f"backend mismatch on {label}: {py_result} != {c_result}")
-        speedup = py_time / c_time if c_time > 0 else float("inf")
-        print(f"{label:26} {py_time:9.3f}s {c_time:9.3f}s {speedup:8.1f}x  {py_result}")
+        c_column = f"{'-':>10}"
+        if _ckernels is not None:
+            c_result, c_time = run_case(_ckernels, entry, args)
+            if py_result != c_result:
+                raise SystemExit(f"backend mismatch on {label}: {py_result} != {c_result}")
+            c_column = f"{c_time:9.3f}s"
+        search_result, search_time = run_search(entry, args)
+        if comparable(entry, py_result) != search_result:
+            raise SystemExit(f"coset search mismatch on {label}: {py_result} vs {search_result}")
+        print(f"{label:26} {py_time:9.3f}s {c_column} {search_time:9.3f}s  {py_result}")
 
 
 if __name__ == "__main__":

@@ -113,6 +113,19 @@ class FiberClass:
             raise ValueError(f"multiplicity must be nonnegative, got {self.multiplicity}")
 
 
+def check_index(value, name: str = "n") -> int:
+    """Return value if it is a valid subgroup index: a positive int.
+
+    bool is refused even though it subclasses int, so count(kind, True)
+    cannot pass for index 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def hall_t(m: int, r: int) -> int:
     """Number of transitive r-tuples of permutations of m points.
@@ -187,8 +200,7 @@ def r_nu_recursive(m: int, nu: int) -> int:
 
 def count_subgroups(kind: GroupKind, m: int) -> int:
     """Number of index-m subgroups of the given group."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_index(m, "m")
     if isinstance(kind, Free):
         count, rem = divmod(hall_t(m, kind.rank), factorial(m - 1))
         if rem:

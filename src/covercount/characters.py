@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from .errors import ConsistencyError
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -80,7 +82,8 @@ def hook_product(lam: Partition) -> int:
 def degree(lam: Partition) -> int:
     """Degree of the irreducible S_k character labelled by lam (hook length formula)."""
     deg, rem = divmod(factorial(lam.weight), hook_product(lam))
-    assert rem == 0, f"hook product of {lam} does not divide {lam.weight}!"
+    if rem:
+        raise ConsistencyError(f"hook product of {lam} does not divide {lam.weight}!")
     return deg
 
 

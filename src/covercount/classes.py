@@ -21,6 +21,7 @@ from .census import (
     FiberClass,
     GroupKind,
     NonOrientableSurface,
+    check_index,
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
@@ -76,8 +77,7 @@ def count_classes(kind: GroupKind, n: int) -> int:
     n = ell * m and each fiber class, the epimorphism count is expanded as
     sum_{d | ell} mobius(ell/d) * gcd(t_1, d) * ... * d^rank.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_index(n)
     acc = 0
     for ell, m in divisor_pairs(n):
         for fiber in covering_fiber(kind, m):
@@ -106,8 +106,7 @@ def _check_row(row: CensusRow) -> None:
 
 def census_table(kind: GroupKind, n_max: int) -> CensusTable:
     """Census rows for n = 1..n_max, with the split for non-orientable groups."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_index(n_max, "n_max")
     rows = []
     split = isinstance(kind, NonOrientableSurface)
     for n in range(1, n_max + 1):

@@ -4,7 +4,8 @@ Subcommands: count (one number for one group and index), table (a census
 over 1..max-index as CSV or JSON), verify (formula routes against the
 brute-force oracle), epi (epimorphism counts onto a cyclic group).  Results
 go to stdout, diagnostics to stderr.  Exit status is 0 on success, 1 when
-verify finds a mismatch, 2 on argument, domain or resource errors.
+verify finds a mismatch, 2 on argument, domain or resource errors, 3 on an
+internal fault (a ConsistencyError: a cross-check inside the package failed).
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .census import (
     count_subgroups,
 )
 from .classes import census_table, count_classes
-from .errors import ResourceLimitError
+from .errors import ConsistencyError, ResourceLimitError
 
 
 def parse_group_spec(text: str) -> GroupKind:
@@ -186,6 +187,9 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -51,22 +51,22 @@ def test_criterion_1_free_rank_two_subgroup_counts():
     start = time.perf_counter()
     expected = [1, 3, 13, 71, 461, 3447]
     assert [count_subgroups(Free(2), n) for n in range(1, 7)] == expected
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert oracle_count_subgroups(Free(2), n) == expected[n - 1]
     elapsed = time.perf_counter() - start
     assert elapsed < 30
-    _report(1, f"free:2 M(1..6) = {expected}, oracle confirms n <= 5 ({elapsed:.2f}s)")
+    _report(1, f"free:2 M(1..6) = {expected}, oracle confirms n <= 6 ({elapsed:.2f}s)")
 
 
 def test_criterion_2_free_rank_two_class_counts():
     start = time.perf_counter()
     expected = [1, 3, 7, 26, 97, 624]
     assert [count_classes(Free(2), n) for n in range(1, 7)] == expected
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert oracle_count_classes(Free(2), n) == expected[n - 1]
     elapsed = time.perf_counter() - start
     assert elapsed < 120
-    _report(2, f"free:2 N(1..6) = {expected}, oracle confirms n <= 5 ({elapsed:.2f}s)")
+    _report(2, f"free:2 N(1..6) = {expected}, oracle confirms n <= 6 ({elapsed:.2f}s)")
 
 
 def test_criterion_3_torus_counts_are_divisor_sums():
@@ -84,7 +84,7 @@ def test_criterion_4_genus_two_surface():
     genus2 = OrientableSurface(2)
     assert count_subgroups(genus2, 2) == 15
     assert count_classes(genus2, 2) == 15
-    for n in (2, 3):
+    for n in (2, 3, 4):
         assert oracle_count_subgroups(genus2, n) == count_subgroups(genus2, n)
         assert oracle_count_classes(genus2, n) == count_classes(genus2, n)
     provider = lambda m: covering_fiber(genus2, m)
@@ -92,12 +92,12 @@ def test_criterion_4_genus_two_surface():
         assert count_classes(genus2, n) == count_classes_generic(n, provider)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 3, generic driver n <= 10 ({elapsed:.2f}s)")
+    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 4, generic driver n <= 10 ({elapsed:.2f}s)")
 
 
 def test_criterion_5_nonorientable_surfaces():
     start = time.perf_counter()
-    for p, expected, oracle_max in ((3, (7, 1, 6, 7), 4), (2, (3, 1, 2, 3), 5)):
+    for p, expected, oracle_max in ((3, (7, 1, 6, 7), 5), (2, (3, 1, 2, 3), 5)):
         kind = NonOrientableSurface(p)
         assert count_subgroups(kind, 2) == expected[0]
         assert count_orientable_subgroups(p, 2) == expected[1]
@@ -117,7 +117,7 @@ def test_criterion_5_nonorientable_surfaces():
     _report(
         5,
         "nonorient:3 (M, M+, M-, N)(2) = (7, 1, 6, 7) and nonorient:2 (3, 1, 2, 3), "
-        f"oracle and split confirmed ({elapsed:.2f}s)",
+        f"oracle and split confirmed for n <= 5 ({elapsed:.2f}s)",
     )
 
 
@@ -181,3 +181,12 @@ def test_criterion_9_character_degrees():
     for k in range(1, 21):
         assert beta(k, 0) == _partition_count(k)
     _report(9, "degree squares sum to k! for k <= 12, beta(k, 0) counts partitions for k <= 20")
+
+
+def test_criterion_10_free_rank_two_oracle_at_index_seven():
+    start = time.perf_counter()
+    assert oracle_count_subgroups(Free(2), 7) == count_subgroups(Free(2), 7) == 29093
+    assert oracle_count_classes(Free(2), 7) == count_classes(Free(2), 7)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60
+    _report(10, f"free:2 M(7) = 29093 and N(7), confirmed by the oracle ({elapsed:.2f}s)")

@@ -8,6 +8,7 @@ from covercount.census import (
     Free,
     NonOrientableSurface,
     OrientableSurface,
+    check_index,
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
@@ -104,6 +105,15 @@ def test_index_one_subgroup_count_is_one_for_every_kind():
 def test_count_subgroups_rejects_zero_index():
     with pytest.raises(ValueError):
         count_subgroups(Free(2), 0)
+
+
+def test_count_subgroups_rejects_bool_and_non_int_indices():
+    for bad in (True, False, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            count_subgroups(Free(2), bad)
+    assert check_index(3) == 3
+    with pytest.raises(ValueError):
+        check_index(-1)
 
 
 def test_r_nu_routes_agree():

@@ -2,7 +2,9 @@ from math import factorial
 
 import pytest
 
+import covercount.characters as characters
 from covercount.characters import Partition, beta, degree, hook_product, partitions
+from covercount.errors import ConsistencyError
 
 
 def _partition_count(k):
@@ -119,3 +121,10 @@ def test_beta_memoized_and_fresh_agree():
     first = beta(6, 3)
     beta.cache_clear()
     assert beta(6, 3) == first
+
+
+def test_degree_raises_when_hook_product_does_not_divide(monkeypatch):
+    # 5 does not divide 4!, so the guard must fire, also under python -O.
+    monkeypatch.setattr(characters, "hook_product", lambda lam: 5)
+    with pytest.raises(ConsistencyError):
+        degree(Partition((3, 1)))

@@ -115,3 +115,11 @@ def test_census_table_bounds():
 def test_census_table_rejects_zero():
     with pytest.raises(ValueError):
         census_table(Free(2), 0)
+
+
+def test_class_counts_reject_bool_and_non_int_indices():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError):
+            count_classes(Free(2), bad)
+        with pytest.raises(TypeError):
+            census_table(Free(2), bad)

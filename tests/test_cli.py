@@ -6,6 +6,7 @@ import pytest
 
 from covercount.census import Free, NonOrientableSurface, OrientableSurface
 from covercount.cli import main, parse_group_spec
+from covercount.errors import ConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,19 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     lines = out.strip().split("\n")
     assert lines[2] == "n=3 FAIL M=14!=13 N=7"
     assert lines[0].startswith("n=1 PASS")
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    import covercount.cli as cli_module
+
+    def broken(kind, n):
+        raise ConsistencyError("cross-check failed")
+
+    monkeypatch.setattr(cli_module, "count_subgroups", broken)
+    code, out, err = run_cli(capsys, "count", "--group", "free:2", "--index", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: cross-check failed\n"
 
 
 def test_verify_infeasible_request(capsys):

@@ -1,4 +1,5 @@
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -13,9 +14,11 @@ from covercount.census import (
     count_subgroups,
 )
 from covercount.classes import count_classes
-from covercount.errors import ResourceLimitError
+from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
     FEASIBILITY_LIMIT,
+    _coset_search,
+    _relation_code,
     check_feasible,
     enumerate_relation_homs,
     kernel_backend,
@@ -94,6 +97,37 @@ def test_oracle_orientable_split_matches_formulas():
             assert minus == count_nonorientable_subgroups(p, n), (p, n)
 
 
+def test_coset_search_matches_tuple_brute_force():
+    for kind, n_max in SMALL_GRID:
+        rel, gens = _relation_code(kind), kind.generator_count
+        for n in range(1, n_max + 1):
+            _coset_search.cache_clear()
+            subgroups, classes, orientable = _coset_search(rel, gens, n)
+            base = factorial(n - 1)
+            _, transitive = _pykernels.count_relation_tuples(rel, gens, n)
+            assert divmod(transitive, base) == (subgroups, 0), (kind, n)
+            assert _pykernels.count_transitive_orbits(rel, gens, n) == (transitive, classes), (kind, n)
+            if rel == _pykernels.REL_SQUARES:
+                split = _pykernels.count_orientation_split(gens, n)
+                assert split == (orientable * base, (subgroups - orientable) * base), (kind, n)
+            else:
+                assert orientable == 0, (kind, n)
+
+
+def test_coset_search_rechecks_its_results(monkeypatch):
+    import covercount.oracle as oracle_module
+
+    _coset_search.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(_pykernels, "satisfies_relation", lambda rel, images, n: False)
+        with pytest.raises(ConsistencyError):
+            _coset_search(_pykernels.REL_FREE, 2, 3)
+    # No leaf kept for N breaks N <= M <= n * N.
+    monkeypatch.setattr(oracle_module, "_least_standard", lambda fwd, n: False)
+    with pytest.raises(ConsistencyError):
+        _coset_search(_pykernels.REL_FREE, 2, 3)
+
+
 def test_oracle_split_at_index_one():
     # The group itself is its only index-1 subgroup and is non-orientable.
     for p in range(2, 5):
@@ -146,6 +180,16 @@ def test_feasibility_gate():
 def test_oracle_rejects_zero_index():
     with pytest.raises(ValueError):
         oracle_count_subgroups(Free(2), 0)
+
+
+def test_oracle_rejects_bool_and_non_int_indices():
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            oracle_count_subgroups(Free(2), bad)
+        with pytest.raises(TypeError):
+            oracle_count_classes(Free(2), bad)
+        with pytest.raises(TypeError):
+            oracle_orientable_split(2, bad)
 
 
 @pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
