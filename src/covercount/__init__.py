@@ -17,7 +17,7 @@ from .census import (
     r_nu_closed,
     r_nu_recursive,
 )
-from .characters import Partition, beta, degree, hook_product, partitions
+from .characters import Partition, beta, degree, hook_product, hook_spectrum, partitions
 from .classes import CensusRow, CensusTable, census_table, count_classes, count_classes_generic
 from .errors import ConsistencyError, ResourceLimitError
 from .numtheory import DivisorPair, divisor_pairs, divisors, euler_phi, gcd, mobius
@@ -68,6 +68,7 @@ __all__ = [
     "hall_t",
     "hom_count",
     "hook_product",
+    "hook_spectrum",
     "kernel_backend",
     "mobius",
     "oracle_count_classes",

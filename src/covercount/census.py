@@ -38,7 +38,7 @@ from math import comb, factorial
 
 from .abelian import HomologySignature
 from .characters import beta
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_index
 
 
 class GroupKind:
@@ -113,20 +113,7 @@ class FiberClass:
             raise ValueError(f"multiplicity must be nonnegative, got {self.multiplicity}")
 
 
-def check_index(value, name: str = "n") -> int:
-    """Return value if it is a valid subgroup index: a positive int.
-
-    bool is refused even though it subclasses int, so count(kind, True)
-    cannot pass for index 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return value
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hall_t(m: int, r: int) -> int:
     """Number of transitive r-tuples of permutations of m points.
 
@@ -137,8 +124,7 @@ def hall_t(m: int, r: int) -> int:
     subtracting, for each proper orbit of the first point, the tuples whose
     restriction to that orbit is transitive.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_index(m, "m")
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
     if m == 1:
@@ -149,15 +135,19 @@ def hall_t(m: int, r: int) -> int:
     return total
 
 
-def _composition_sum(m: int, s: int, nu: int) -> int:
-    # Sum of beta(i_1, nu) * ... * beta(i_s, nu) over all ordered ways to
-    # write m = i_1 + ... + i_s with every part >= 1.
-    if s == 1:
-        return beta(m, nu)
-    total = 0
-    for first in range(1, m - s + 2):
-        total += beta(first, nu) * _composition_sum(m - first, s - 1, nu)
-    return total
+def _composition_sums(m: int, nu: int):
+    # For s = 1, ..., m: the sum of beta(i_1, nu) * ... * beta(i_s, nu) over
+    # all ordered ways to write m = i_1 + ... + i_s with every part >= 1.
+    # row[j] holds that sum for j in place of m and the current s; the next
+    # row splits off the first part, so the whole walk costs O(m^3).
+    betas = [0] + [beta(i, nu) for i in range(1, m + 1)]
+    row = betas
+    for s in range(1, m + 1):
+        yield row[m]
+        row = [0] * (s + 1) + [
+            sum(betas[first] * row[j - first] for first in range(1, j - s + 1))
+            for j in range(s + 1, m + 1)
+        ]
 
 
 def r_nu_closed(m: int, nu: int) -> int:
@@ -167,27 +157,31 @@ def r_nu_closed(m: int, nu: int) -> int:
                sum_{i_1+...+i_s=m} beta(i_1, nu) ... beta(i_s, nu)
 
     Evaluated in exact rational arithmetic; the total provably reduces to an
-    integer, and a non-unit denominator raises.
+    integer, and a non-unit denominator raises.  The composition sums are
+    tabulated afresh on every call, so the result shares nothing with
+    r_nu_recursive but the beta values.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_index(m, "m")
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     total = Fraction(0)
-    for s in range(1, m + 1):
+    for s, composition_sum in enumerate(_composition_sums(m, nu), start=1):
         sign = 1 if s % 2 == 1 else -1
-        total += Fraction(sign, s) * _composition_sum(m, s, nu)
+        total += Fraction(sign, s) * composition_sum
     total *= m
     if total.denominator != 1:
         raise ConsistencyError(f"r_nu_closed({m}, {nu}) reduced to non-integer {total}")
     return int(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def r_nu_recursive(m: int, nu: int) -> int:
     """Surface subgroup count by the beta recursion (same value as r_nu_closed)."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        # Only a bad m calls check_index, to raise its error: a good one
+        # adds no child span to this recursion, whose span tree the
+        # perfbench self-time test fixes call by call.
+        check_index(m, "m")
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     if m == 1:
@@ -222,8 +216,7 @@ def count_orientable_subgroups(p: int, m: int) -> int:
     """
     if p < 2:
         raise ValueError(f"non-orientable genus must be >= 2, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_index(m, "m")
     if m % 2 == 1:
         return 0
     return r_nu_recursive(m // 2, 2 * (p - 2))
@@ -248,8 +241,7 @@ def covering_fiber(kind: GroupKind, m: int) -> list[FiberClass]:
     a single order-2 torsion summand.  Classes with multiplicity zero are
     omitted.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_index(m, "m")
     if isinstance(kind, Free):
         signature = HomologySignature(rank=(kind.rank - 1) * m + 1)
         return [FiberClass(signature, count_subgroups(kind, m))]

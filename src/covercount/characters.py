@@ -1,17 +1,30 @@
 """Integer partitions, symmetric group character degrees, and beta sums.
 
 A partition of k labels an irreducible character of the symmetric group S_k;
-its degree comes from the hook length formula.  The quantity this package
-actually consumes is beta(k, nu), the sum over all partitions of k of
-(k! / degree)^nu.  Since k!/degree equals the product of hook lengths, beta
-is computed from hook products directly and never divides at all.
+its degree is k! divided by the hook product, the product of the hook
+lengths of its Young diagram.  The quantity this package actually consumes
+is beta(k, nu), the sum over all partitions of k of (k! / degree)^nu, that
+is of (hook product)^nu, so it never divides at all.
+
+hook_product needs only the first-column hook lengths h_i = parts[i] +
+len(parts) - 1 - i:
+
+    H = prod_i h_i! / prod_{i<j} (h_i - h_j).
+
+Many partitions of k share a hook product (conjugate partitions always do),
+and beta depends on a partition only through it.  hook_spectrum(k) walks
+partitions(k) once and records each distinct hook product with the number of
+partitions that have it; it is cached, so beta(k, nu) for every further
+exponent nu is a short power sum over that spectrum and never enumerates
+partitions again.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_index
 
 
 @dataclass(frozen=True)
@@ -46,8 +59,7 @@ def partitions(k: int) -> list[Partition]:
     Starts with the single-row partition (k) and ends with the single-column
     partition (1, ..., 1).
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    check_index(k, "k")
     out = []
     prefix: list[int] = []
 
@@ -68,15 +80,23 @@ def hook_product(lam: Partition) -> int:
     """Product of the hook lengths over all cells of the Young diagram.
 
     This equals k! divided by the character degree, so it is always a
-    positive integer and never needs rational arithmetic.
+    positive integer.  It is computed from the first-column hook lengths
+    (see the module docstring); the division must be exact, and a remainder
+    raises ConsistencyError.
     """
     parts = lam.parts
-    conj = lam.conjugate().parts
-    prod = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            prod *= row - j + conj[j] - i - 1
-    return prod
+    length = len(parts)
+    firsts = [part + length - 1 - i for i, part in enumerate(parts)]
+    numerator = 1
+    vandermonde = 1
+    for i, h in enumerate(firsts):
+        numerator *= factorial(h)
+        for lower in firsts[i + 1 :]:
+            vandermonde *= h - lower
+    product, rem = divmod(numerator, vandermonde)
+    if rem:
+        raise ConsistencyError(f"first-column hook formula is not integral for {lam}")
+    return product
 
 
 def degree(lam: Partition) -> int:
@@ -87,15 +107,26 @@ def degree(lam: Partition) -> int:
     return deg
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
+def hook_spectrum(k: int) -> tuple[tuple[int, int], ...]:
+    """The distinct hook products of the partitions of k, with multiplicities.
+
+    A tuple of (hook product, number of partitions of k with it) pairs,
+    sorted by hook product; the multiplicities add up to the number of
+    partitions of k.
+    """
+    check_index(k, "k")
+    return tuple(sorted(Counter(hook_product(lam) for lam in partitions(k)).items()))
+
+
+@lru_cache(maxsize=None, typed=True)
 def beta(k: int, nu: int) -> int:
     """Sum of (k!/degree)^nu over all partitions of k.
 
     For nu = 0 this is just the number of partitions of k.  Negative nu
     would make the terms non-integral and is rejected.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    check_index(k, "k")
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    return sum(hook_product(lam) ** nu for lam in partitions(k))
+    return sum(mult * hook**nu for hook, mult in hook_spectrum(k))

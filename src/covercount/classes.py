@@ -21,13 +21,12 @@ from .census import (
     FiberClass,
     GroupKind,
     NonOrientableSurface,
-    check_index,
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
     covering_fiber,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_index
 from .numtheory import divisor_pairs, divisors, gcd, mobius
 
 
@@ -58,8 +57,7 @@ def count_classes_generic(n, fiber_provider) -> int:
     entries for index m.  The accumulated epimorphism total must come out
     divisible by n; if not, the provider is inconsistent and this raises.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_index(n)
     acc = 0
     for ell, m in divisor_pairs(n):
         for fiber in fiber_provider(m):

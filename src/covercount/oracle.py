@@ -33,8 +33,8 @@ from typing import Iterator
 
 from . import _pykernels
 from .abelian import HomologySignature
-from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface, check_index
-from .errors import ConsistencyError, ResourceLimitError
+from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
+from .errors import ConsistencyError, ResourceLimitError, check_index
 from .numtheory import gcd
 
 if os.environ.get("COVERCOUNT_PURE_PYTHON"):

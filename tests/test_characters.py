@@ -1,10 +1,22 @@
+from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import covercount.characters as characters
-from covercount.characters import Partition, beta, degree, hook_product, partitions
+from covercount.characters import (
+    Partition,
+    beta,
+    degree,
+    hook_product,
+    hook_spectrum,
+    partitions,
+)
 from covercount.errors import ConsistencyError
+
+EXPONENTS = (0, 1, 2, 3, 4, 6)
 
 
 def _partition_count(k):
@@ -15,6 +27,18 @@ def _partition_count(k):
         for total in range(part, k + 1):
             table[total] += table[total - part]
     return table[k]
+
+
+def _cell_hook_product(lam):
+    # Reference: the hook length of every cell of the Young diagram, read
+    # off the conjugate, multiplied one cell at a time.
+    parts = lam.parts
+    conj = lam.conjugate().parts
+    prod = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            prod *= row - j + conj[j] - i - 1
+    return prod
 
 
 def test_partition_validation():
@@ -128,3 +152,46 @@ def test_degree_raises_when_hook_product_does_not_divide(monkeypatch):
     monkeypatch.setattr(characters, "hook_product", lambda lam: 5)
     with pytest.raises(ConsistencyError):
         degree(Partition((3, 1)))
+
+
+def test_hook_product_raises_when_formula_is_not_integral(monkeypatch):
+    # With every factorial replaced by 1 the numerator is 1, which the
+    # Vandermonde product of (3, 1)'s first-column hooks (4, 1) does not divide.
+    monkeypatch.setattr(characters, "factorial", lambda n: 1)
+    with pytest.raises(ConsistencyError):
+        hook_product(Partition((3, 1)))
+
+
+def test_hook_product_and_spectrum_match_cell_reference():
+    for k in range(1, 15):
+        cells = [_cell_hook_product(lam) for lam in partitions(k)]
+        assert [hook_product(lam) for lam in partitions(k)] == cells
+        assert hook_spectrum(k) == tuple(sorted(Counter(cells).items()))
+
+
+def test_hook_spectrum_counts_partitions_and_degree_squares():
+    for k in range(1, 21):
+        spectrum = hook_spectrum(k)
+        assert [hook for hook, _ in spectrum] == sorted({hook for hook, _ in spectrum})
+        assert sum(mult for _, mult in spectrum) == len(partitions(k))
+        assert sum(mult * (factorial(k) // hook) ** 2 for hook, mult in spectrum) == factorial(k)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=8))
+def test_beta_matches_cell_reference_sum(k, nu):
+    assert beta(k, nu) == sum(_cell_hook_product(lam) ** nu for lam in partitions(k))
+
+
+def test_beta_builds_each_spectrum_once():
+    beta.cache_clear()
+    hook_spectrum.cache_clear()
+    for nu in EXPONENTS:
+        for k in range(1, 13):
+            beta(k, nu)
+    assert hook_spectrum.cache_info().misses == 12
+    assert beta.cache_info().misses == 12 * len(EXPONENTS)
+
+
+def test_hook_spectrum_rejects_zero():
+    with pytest.raises(ValueError):
+        hook_spectrum(0)

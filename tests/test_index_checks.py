@@ -1,0 +1,58 @@
+"""Every function that takes a subgroup index or a partition size refuses
+bool and non-int values with TypeError, also once the int is cached.
+
+True == 1 and 2.0 == 2 hash alike, so an lru_cache without typed=True would
+answer beta(True, 2) from the entry of beta(1, 2) without running the check.
+Each bad value is therefore tried on cold caches, then again after the
+equal int has been computed and cached.
+"""
+
+import pytest
+
+from covercount.census import (
+    Free,
+    count_orientable_subgroups,
+    covering_fiber,
+    hall_t,
+    r_nu_closed,
+    r_nu_recursive,
+)
+from covercount.characters import beta, hook_spectrum, partitions
+from covercount.classes import count_classes_generic
+from covercount.errors import check_index
+
+CACHED = (hall_t, r_nu_recursive, beta, hook_spectrum)
+
+INDEXED = {
+    "hall_t": lambda m: hall_t(m, 2),
+    "r_nu_recursive": lambda m: r_nu_recursive(m, 2),
+    "r_nu_closed": lambda m: r_nu_closed(m, 2),
+    "beta": lambda k: beta(k, 2),
+    "hook_spectrum": hook_spectrum,
+    "partitions": partitions,
+    "count_orientable_subgroups": lambda m: count_orientable_subgroups(3, m),
+    "covering_fiber": lambda m: covering_fiber(Free(2), m),
+    "count_classes_generic": lambda n: count_classes_generic(
+        n, lambda m: covering_fiber(Free(2), m)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3"], ids=repr)
+def test_refuses_bool_and_non_int_cold_and_warm(name, bad):
+    call = INDEXED[name]
+    for cached in CACHED:
+        cached.cache_clear()
+    with pytest.raises(TypeError):
+        call(bad)
+    if int(bad) >= 1:
+        call(int(bad))
+    with pytest.raises(TypeError):
+        call(bad)
+
+
+def test_check_index_accepts_positive_ints_only():
+    assert check_index(3) == 3
+    with pytest.raises(ValueError):
+        check_index(0, "k")
