@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the oracle's coset-table search against the tuple kernels.
 
-Each case runs one tuple-kernel entry point through the pure-Python
-fallback and, when built, the compiled module, then runs the coset-table
-search at the same relation, generator count and index, and checks that
-all of them agree (the search's counts times (n-1)! are the kernels'
-transitive tuple counts), so this doubles as a consistency check.  The
-default set keeps the pure-Python side under a minute in total; pass
---full for larger cases where the fallback takes several minutes.
+Each case runs one tuple-kernel entry point, then the coset-table search
+at the same relation, generator count and index, and checks that the two
+agree (the search's counts times (n-1)! are the kernels' transitive tuple
+counts), so this doubles as a consistency check.  The default set keeps
+the kernels under a minute in total; pass --full for larger cases where
+they take several minutes.
 
     PYTHONPATH=src python benchmarks/bench_oracle.py [--full]
 """
@@ -18,11 +17,6 @@ from math import factorial
 
 from covercount import _pykernels
 from covercount.oracle import _coset_search
-
-try:
-    from covercount import _ckernels
-except ImportError:
-    _ckernels = None
 
 # (label, entry point name, args)
 CASES = [
@@ -42,9 +36,9 @@ FULL_CASES = [
 ]
 
 
-def run_case(module, entry, args):
+def run_case(entry, args):
     start = time.perf_counter()
-    result = getattr(module, entry)(*args)
+    result = getattr(_pykernels, entry)(*args)
     return result, time.perf_counter() - start
 
 
@@ -80,21 +74,13 @@ def main():
     options = parser.parse_args()
 
     cases = CASES + (FULL_CASES if options.full else [])
-    if _ckernels is None:
-        print("compiled kernels not available; timing the pure-Python fallback only")
-    print(f"{'case':26} {'python':>10} {'cython':>10} {'coset':>10}  result")
+    print(f"{'case':26} {'kernels':>10} {'coset':>10}  result")
     for label, entry, args in cases:
-        py_result, py_time = run_case(_pykernels, entry, args)
-        c_column = f"{'-':>10}"
-        if _ckernels is not None:
-            c_result, c_time = run_case(_ckernels, entry, args)
-            if py_result != c_result:
-                raise SystemExit(f"backend mismatch on {label}: {py_result} != {c_result}")
-            c_column = f"{c_time:9.3f}s"
+        kernel_result, kernel_time = run_case(entry, args)
         search_result, search_time = run_search(entry, args)
-        if comparable(entry, py_result) != search_result:
-            raise SystemExit(f"coset search mismatch on {label}: {py_result} vs {search_result}")
-        print(f"{label:26} {py_time:9.3f}s {c_column} {search_time:9.3f}s  {py_result}")
+        if comparable(entry, kernel_result) != search_result:
+            raise SystemExit(f"coset search mismatch on {label}: {kernel_result} vs {search_result}")
+        print(f"{label:26} {kernel_time:9.3f}s {search_time:9.3f}s  {kernel_result}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Pure-Python enumeration kernels for the brute-force oracle.
 
-Same entry points and semantics as the compiled module _ckernels; the
-oracle picks whichever is available at import time.  Permutations are
-tuples mapping point -> image, composed left factor first.
+They walk every tuple of generator images in the symmetric group, and are
+the small-n reference the oracle's coset-table search is tested against.
+Permutations are tuples mapping point -> image, composed left factor first.
 
 Relation codes: REL_FREE (no defining relation), REL_COMMUTATOR (the
 product of commutators [a1,b1]...[ag,bg] over consecutive generator pairs),

@@ -9,7 +9,7 @@ follow by Mobius inversion over the divisors of the target order.
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_index
 from .numtheory import divisors, gcd, mobius
 
 
@@ -28,10 +28,8 @@ class HomologySignature:
     def __post_init__(self):
         object.__setattr__(self, "torsion", tuple(sorted(self.torsion)))
         for t in self.torsion:
-            if t < 2:
-                raise ValueError(f"torsion orders must be >= 2, got {t}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
+            check_index(t, "torsion order", minimum=2)
+        check_index(self.rank, "rank", minimum=0)
 
 
 def hom_count(signature: HomologySignature, d: int) -> int:

@@ -54,8 +54,7 @@ class Free(GroupKind):
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"free rank must be >= 1, got {self.rank}")
+        check_index(self.rank, "free rank")
 
     @property
     def generator_count(self) -> int:
@@ -72,8 +71,7 @@ class OrientableSurface(GroupKind):
     genus: int
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError(f"orientable genus must be >= 1, got {self.genus}")
+        check_index(self.genus, "orientable genus")
 
     @property
     def generator_count(self) -> int:
@@ -90,8 +88,7 @@ class NonOrientableSurface(GroupKind):
     genus: int
 
     def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError(f"non-orientable genus must be >= 2, got {self.genus}")
+        check_index(self.genus, "non-orientable genus", minimum=2)
 
     @property
     def generator_count(self) -> int:
@@ -125,8 +122,7 @@ def hall_t(m: int, r: int) -> int:
     restriction to that orbit is transitive.
     """
     check_index(m, "m")
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
+    check_index(r, "r")
     if m == 1:
         return 1
     total = factorial(m) ** r
@@ -162,8 +158,7 @@ def r_nu_closed(m: int, nu: int) -> int:
     r_nu_recursive but the beta values.
     """
     check_index(m, "m")
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    check_index(nu, "nu", minimum=0)
     total = Fraction(0)
     for s, composition_sum in enumerate(_composition_sums(m, nu), start=1):
         sign = 1 if s % 2 == 1 else -1
@@ -178,12 +173,12 @@ def r_nu_closed(m: int, nu: int) -> int:
 def r_nu_recursive(m: int, nu: int) -> int:
     """Surface subgroup count by the beta recursion (same value as r_nu_closed)."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        # Only a bad m calls check_index, to raise its error: a good one
-        # adds no child span to this recursion, whose span tree the
+        # Only a bad argument calls check_index, to raise its error: a good
+        # one adds no child span to this recursion, whose span tree the
         # perfbench self-time test fixes call by call.
         check_index(m, "m")
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    if isinstance(nu, bool) or not isinstance(nu, int) or nu < 0:
+        check_index(nu, "nu", minimum=0)
     if m == 1:
         return 1
     total = m * beta(m, nu)
@@ -214,8 +209,7 @@ def count_orientable_subgroups(p: int, m: int) -> int:
     is orientable behaves like an index-k subgroup counted with the doubled
     exponent 2(p - 2).
     """
-    if p < 2:
-        raise ValueError(f"non-orientable genus must be >= 2, got {p}")
+    check_index(p, "non-orientable genus", minimum=2)
     check_index(m, "m")
     if m % 2 == 1:
         return 0

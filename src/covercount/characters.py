@@ -127,6 +127,5 @@ def beta(k: int, nu: int) -> int:
     would make the terms non-integral and is rejected.
     """
     check_index(k, "k")
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    check_index(nu, "nu", minimum=0)
     return sum(mult * hook**nu for hook, mult in hook_spectrum(k))

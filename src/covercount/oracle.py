@@ -12,10 +12,9 @@ each base point number N, and for the squares relation a parity check on
 each leaf splits M into orientable and non-orientable stabilisers.  One
 search per (relation, generators, index) serves all three counters.
 
-The tuple kernels (_ckernels when compiled, else _pykernels; set
-COVERCOUNT_PURE_PYTHON=1 to force the latter) walk every tuple of generator
-images in the symmetric group instead.  They are the reference the search
-is tested against at small n, and enumerate_relation_homs yields their
+The tuple kernels in _pykernels walk every tuple of generator images in
+the symmetric group instead.  They are the reference the search is tested
+against at small n, and enumerate_relation_homs yields their
 relation-satisfying tuples.
 
 Everything here is exponential; it exists to confirm the formula routes on
@@ -24,7 +23,6 @@ exceeds FEASIBILITY_LIMIT raise ResourceLimitError up front rather than run
 forever, and nothing is ever silently truncated.
 """
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -37,15 +35,7 @@ from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
 from .errors import ConsistencyError, ResourceLimitError, check_index
 from .numtheory import gcd
 
-if os.environ.get("COVERCOUNT_PURE_PYTHON"):
-    _ckernels = None
-else:
-    try:
-        from . import _ckernels
-    except ImportError:
-        _ckernels = None
-
-_kernels = _ckernels if _ckernels is not None else _pykernels
+_kernels = _pykernels
 
 FEASIBILITY_LIMIT = 200_000_000
 
@@ -55,8 +45,14 @@ EPI_MAX_ORDER = 24
 
 
 def kernel_backend() -> str:
-    """Which enumeration backend is active, "cython" or "python"."""
-    return "python" if _kernels is _pykernels else "cython"
+    """The tuple kernels' backend: always "python", the only one there is.
+
+    Kept, with the _kernels alias, for the benchmark harness outside the
+    package: perfbench/worker.py records kernel_backend() on every run, and
+    perfbench/tracer.py and its tests reach the kernels through
+    oracle._kernels.
+    """
+    return "python"
 
 
 @dataclass(frozen=True)

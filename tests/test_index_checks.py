@@ -1,5 +1,6 @@
 """Every function that takes a subgroup index or a partition size refuses
-bool and non-int values with TypeError, also once the int is cached.
+bool and non-int values with TypeError, also once the int is cached, and so
+does every one that takes an exponent, a rank or a genus.
 
 True == 1 and 2.0 == 2 hash alike, so an lru_cache without typed=True would
 answer beta(True, 2) from the entry of beta(1, 2) without running the check.
@@ -9,8 +10,11 @@ equal int has been computed and cached.
 
 import pytest
 
+from covercount.abelian import HomologySignature
 from covercount.census import (
     Free,
+    NonOrientableSurface,
+    OrientableSurface,
     count_orientable_subgroups,
     covering_fiber,
     hall_t,
@@ -37,6 +41,20 @@ INDEXED = {
     ),
 }
 
+# Exponents, ranks and genera, each with the least value it accepts.
+PARAMETERS = {
+    "Free": (Free, 1),
+    "OrientableSurface": (OrientableSurface, 1),
+    "NonOrientableSurface": (NonOrientableSurface, 2),
+    "hall_t.r": (lambda r: hall_t(3, r), 1),
+    "beta.nu": (lambda nu: beta(3, nu), 0),
+    "r_nu_recursive.nu": (lambda nu: r_nu_recursive(3, nu), 0),
+    "r_nu_closed.nu": (lambda nu: r_nu_closed(3, nu), 0),
+    "count_orientable_subgroups.p": (lambda p: count_orientable_subgroups(p, 4), 2),
+    "HomologySignature.rank": (lambda rank: HomologySignature(rank=rank), 0),
+    "HomologySignature.torsion": (lambda t: HomologySignature(torsion=(t,)), 2),
+}
+
 
 @pytest.mark.parametrize("name", sorted(INDEXED))
 @pytest.mark.parametrize("bad", [True, False, 2.0, "3"], ids=repr)
@@ -50,6 +68,21 @@ def test_refuses_bool_and_non_int_cold_and_warm(name, bad):
         call(int(bad))
     with pytest.raises(TypeError):
         call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, 0.5, "3"], ids=repr)
+def test_parameters_refuse_bool_and_non_int_cold_and_warm(name, bad):
+    call, minimum = PARAMETERS[name]
+    for cached in CACHED:
+        cached.cache_clear()
+    with pytest.raises(TypeError):
+        call(bad)
+    call(max(int(bad), minimum))
+    with pytest.raises(TypeError):
+        call(bad)
+    with pytest.raises(ValueError):
+        call(minimum - 1)
 
 
 def test_check_index_accepts_positive_ints_only():
