@@ -13,7 +13,7 @@ from .census import (
     count_orientable_subgroups,
     count_subgroups,
     covering_fiber,
-    hall_t,
+    free_subgroups,
     r_nu_closed,
     r_nu_recursive,
 )
@@ -64,8 +64,8 @@ __all__ = [
     "enumerate_relation_homs",
     "epi_count",
     "euler_phi",
+    "free_subgroups",
     "gcd",
-    "hall_t",
     "hom_count",
     "hook_product",
     "hook_spectrum",

@@ -34,8 +34,7 @@ class HomologySignature:
 
 def hom_count(signature: HomologySignature, d: int) -> int:
     """Number of homomorphisms from the group into the cyclic group of order d."""
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    check_index(d, "d")
     count = d**signature.rank
     for t in signature.torsion:
         count *= gcd(t, d)
@@ -48,8 +47,7 @@ def epi_count(signature: HomologySignature, ell: int) -> int:
     Mobius inversion of hom_count over the divisors of ell.  The result is
     a count, so a negative total indicates a bug and raises.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+    check_index(ell, "ell")
     total = sum(mobius(ell // d) * hom_count(signature, d) for d in divisors(ell))
     if total < 0:
         raise ConsistencyError(f"negative epimorphism count {total} for {signature} onto Z_{ell}")

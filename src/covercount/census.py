@@ -9,18 +9,22 @@ Three families of groups are supported:
   non-orientable surface of genus p >= 2, with the product-of-squares
   relation.
 
-count_subgroups gives the number M(m) of index-m subgroups.  For the free
-group this is the classical transitive-count recursion (hall_t divided by
-(m-1)!).  For surface groups it is a sum over symmetric group characters:
-with beta(k, nu) the sum of (k!/degree)^nu over partitions of k, and nu the
-Euler-characteristic exponent (2g - 2 orientable, p - 2 non-orientable),
-M(m) satisfies
+count_subgroups gives the number M(m) of index-m subgroups.  With
+a_k = |Hom(G, S_k)| / k!, every supported group satisfies
 
-    M(m) = m * beta(m, nu) - sum_{j=1}^{m-1} beta(m - j, nu) * M(j).
+    M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j),
 
-r_nu_recursive implements that recursion; r_nu_closed implements the
-equivalent inclusion-exclusion over compositions with rational coefficients
-and is kept as an independent route for cross-checking.
+and the families differ only in a_k.  For Free(r) it is (k!)^(r-1), since
+each of the r generators may go anywhere (Hall 1949); free_subgroups runs
+the recursion with it.  For surface groups it is a sum over symmetric group
+characters: beta(k, nu), the sum of (k!/degree)^nu over partitions of k,
+with nu the Euler-characteristic exponent (2g - 2 orientable, p - 2
+non-orientable).  r_nu_recursive runs the recursion with beta; r_nu_closed
+implements the equivalent inclusion-exclusion over compositions with
+rational coefficients and is kept as an independent route for
+cross-checking.  Both recursions check 1 <= M(m) <= m * a_m: the index-m
+subgroups number at most |Hom(G, S_m)| / (m-1)!, and at least one, since
+every supported group maps onto Z.
 
 An index-m subgroup is again a free or surface group, with rank or genus
 given by the Riemann-Hurwitz relations.  covering_fiber records, for each
@@ -34,7 +38,7 @@ count_orientable_subgroups) and non-orientable ones.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .abelian import HomologySignature
 from .characters import beta
@@ -110,24 +114,33 @@ class FiberClass:
             raise ValueError(f"multiplicity must be nonnegative, got {self.multiplicity}")
 
 
+@lru_cache(maxsize=None)
+def _factorial_power(k: int, e: int) -> int:
+    # a_k = (k!)^(r-1) for Free(r); every free_subgroups(m, r) with m > k
+    # reads it, so it is raised to the power once per (k, r).
+    return factorial(k) ** e
+
+
 @lru_cache(maxsize=None, typed=True)
-def hall_t(m: int, r: int) -> int:
-    """Number of transitive r-tuples of permutations of m points.
+def free_subgroups(m: int, r: int) -> int:
+    """Number of index-m subgroups of the free group of rank r.
 
-    t(1) = 1 and
+    M(1) = 1 and
 
-        t(m) = (m!)^r - sum_{j=1}^{m-1} C(m-1, j-1) ((m-j)!)^r t(j),
+        M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j),  a_k = (k!)^(r-1),
 
-    subtracting, for each proper orbit of the first point, the tuples whose
-    restriction to that orbit is transitive.
+    the recursion of the module docstring with a_k = |Hom(F_r, S_k)| / k!.
     """
     check_index(m, "m")
     check_index(r, "r")
     if m == 1:
         return 1
-    total = factorial(m) ** r
+    bound = m * _factorial_power(m, r - 1)
+    total = bound
     for j in range(1, m):
-        total -= comb(m - 1, j - 1) * factorial(m - j) ** r * hall_t(j, r)
+        total -= _factorial_power(m - j, r - 1) * free_subgroups(j, r)
+    if not 1 <= total <= bound:
+        raise ConsistencyError(f"free_subgroups({m}, {r}) is outside [1, m * (m!)^(r-1)]")
     return total
 
 
@@ -181,9 +194,12 @@ def r_nu_recursive(m: int, nu: int) -> int:
         check_index(nu, "nu", minimum=0)
     if m == 1:
         return 1
-    total = m * beta(m, nu)
+    bound = m * beta(m, nu)
+    total = bound
     for j in range(1, m):
         total -= beta(m - j, nu) * r_nu_recursive(j, nu)
+    if not 1 <= total <= bound:
+        raise ConsistencyError(f"r_nu_recursive({m}, {nu}) is outside [1, m * beta(m, nu)]")
     return total
 
 
@@ -191,10 +207,7 @@ def count_subgroups(kind: GroupKind, m: int) -> int:
     """Number of index-m subgroups of the given group."""
     check_index(m, "m")
     if isinstance(kind, Free):
-        count, rem = divmod(hall_t(m, kind.rank), factorial(m - 1))
-        if rem:
-            raise ConsistencyError(f"hall_t({m}, {kind.rank}) not divisible by ({m}-1)!")
-        return count
+        return free_subgroups(m, kind.rank)
     if isinstance(kind, OrientableSurface):
         return r_nu_recursive(m, 2 * kind.genus - 2)
     if isinstance(kind, NonOrientableSurface):

@@ -24,7 +24,7 @@ from .census import (
     count_subgroups,
 )
 from .classes import census_table, count_classes
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, ResourceLimitError, check_index
 
 
 def parse_group_spec(text: str) -> GroupKind:
@@ -60,15 +60,9 @@ def _parse_torsion(text: str) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def _check_positive(value: int, name: str) -> int:
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return value
-
-
 def cmd_count(args) -> int:
     kind = parse_group_spec(args.group)
-    n = _check_positive(args.index, "--index")
+    n = check_index(args.index, "--index")
     if args.what == "subgroups":
         print(count_subgroups(kind, n))
     elif args.what == "classes":
@@ -84,7 +78,7 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     kind = parse_group_spec(args.group)
-    n_max = _check_positive(args.max_index, "--max-index")
+    n_max = check_index(args.max_index, "--max-index")
     table = census_table(kind, n_max)
     split = isinstance(kind, NonOrientableSurface)
     records = []
@@ -107,7 +101,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     kind = parse_group_spec(args.group)
-    n_max = _check_positive(args.max_index, "--max-index")
+    n_max = check_index(args.max_index, "--max-index")
     oracle.check_feasible(kind, n_max)
     split = isinstance(kind, NonOrientableSurface)
     failures = 0
@@ -136,7 +130,7 @@ def cmd_verify(args) -> int:
 
 def cmd_epi(args) -> int:
     signature = HomologySignature(_parse_torsion(args.torsion), args.rank)
-    order = _check_positive(args.order, "--order")
+    order = check_index(args.order, "--order")
     print(epi_count(signature, order))
     return 0
 
@@ -182,6 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact counts outgrow CPython's default limit of 4300 digits for
+    # int-to-str conversion (2^15000 - 1 has 4516).  Lift it while main
+    # runs and put the caller's setting back afterwards.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ResourceLimitError) as exc:
@@ -190,6 +190,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ class ResourceLimitError(RuntimeError):
 def check_index(value, name: str = "n", minimum: int = 1) -> int:
     """Return value if it is an int of at least minimum.
 
-    The default minimum suits a subgroup index; exponents, ranks and genera
-    pass their own (0 for an exponent nu, 2 for a non-orientable genus).
+    The default minimum suits a subgroup index or the order of a cyclic
+    group; exponents, ranks and genera pass their own (0 for an exponent
+    nu, 2 for a non-orientable genus).
     bool is refused even though it subclasses int, so count(kind, True)
     cannot pass for index 1.  Every float is refused too, 2.0 included, so
     no count is ever computed in float arithmetic.  An lru_cache'd function

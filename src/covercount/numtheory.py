@@ -7,6 +7,8 @@ which is more than fast enough for the index ranges this package targets.
 import math
 from typing import NamedTuple
 
+from .errors import check_index
+
 
 class DivisorPair(NamedTuple):
     """A factorisation n = ell * m."""
@@ -15,14 +17,9 @@ class DivisorPair(NamedTuple):
     m: int
 
 
-def _check_positive(n: int, name: str = "n") -> None:
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n}")
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    _check_positive(n)
+    check_index(n)
     small = []
     large = []
     d = 1
@@ -42,7 +39,7 @@ def divisor_pairs(n: int) -> list[DivisorPair]:
 
 def mobius(n: int) -> int:
     """Mobius function: 0 if n has a squared prime factor, else (-1)^#primes."""
-    _check_positive(n)
+    check_index(n)
     result = 1
     p = 2
     while p * p <= n:
@@ -59,7 +56,7 @@ def mobius(n: int) -> int:
 
 def euler_phi(n: int) -> int:
     """Euler totient, via the product over distinct prime factors."""
-    _check_positive(n)
+    check_index(n)
     result = n
     p = 2
     while p * p <= n:

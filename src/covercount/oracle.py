@@ -80,8 +80,7 @@ def _relation_code(kind: GroupKind) -> int:
 
 def tuple_space_size(kind: GroupKind, n: int) -> int:
     """Number of generator-image tuples the oracle would enumerate."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_index(n)
     return factorial(n) ** kind.generator_count
 
 
@@ -313,8 +312,7 @@ def oracle_epi_count(signature: HomologySignature, ell: int) -> int:
     Try every order-respecting assignment of generator images in Z_ell and
     keep those whose images generate, i.e. whose gcd with ell is 1.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+    check_index(ell, "ell")
     generators = len(signature.torsion) + signature.rank
     if generators > EPI_MAX_GENERATORS or ell > EPI_MAX_ORDER:
         raise ResourceLimitError(

@@ -1,7 +1,9 @@
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
+import covercount.census as census
 from covercount.abelian import HomologySignature
 from covercount.census import (
     FiberClass,
@@ -13,10 +15,11 @@ from covercount.census import (
     count_orientable_subgroups,
     count_subgroups,
     covering_fiber,
-    hall_t,
+    free_subgroups,
     r_nu_closed,
     r_nu_recursive,
 )
+from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors
 
 
@@ -47,6 +50,24 @@ def test_fiber_class_validation():
         FiberClass(HomologySignature(), -1)
 
 
+@lru_cache(maxsize=None)
+def hall_t(m, r):
+    # Reference for free_subgroups: the number of transitive r-tuples of
+    # permutations of m points, t(1) = 1 and
+    #     t(m) = (m!)^r - sum_{j=1}^{m-1} C(m-1, j-1) ((m-j)!)^r t(j),
+    # subtracting, for each proper orbit of the first point, the tuples
+    # whose restriction to that orbit is transitive.  An index-m subgroup
+    # is the stabiliser of the first point of (m-1)! such tuples.
+    check_index(m, "m")
+    check_index(r, "r")
+    if m == 1:
+        return 1
+    total = factorial(m) ** r
+    for j in range(1, m):
+        total -= comb(m - 1, j - 1) * factorial(m - j) ** r * hall_t(j, r)
+    return total
+
+
 def test_hall_t_examples():
     for r in range(1, 4):
         assert hall_t(1, r) == 1
@@ -69,9 +90,47 @@ def test_hall_t_divisible_by_factorial():
             assert hall_t(m, r) % factorial(m - 1) == 0
 
 
+def test_free_subgroups_match_hall_t_reference():
+    for r in range(1, 7):
+        for m in range(1, 61):
+            assert free_subgroups(m, r) == hall_t(m, r) // factorial(m - 1)
+
+
+@pytest.fixture
+def cold_recursions():
+    def clear():
+        for cached in (census.free_subgroups, census._factorial_power, census.r_nu_recursive):
+            cached.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_free_subgroups_checks_its_bounds(monkeypatch, cold_recursions):
+    # With k in place of k!, a_k = k for r = 2 and the recursion gives
+    # M = 1, 3, 4, 3, 1, 0: the sixth value breaks M(m) >= 1.
+    monkeypatch.setattr(census, "factorial", lambda k: k)
+    assert [free_subgroups(m, 2) for m in range(1, 6)] == [1, 3, 4, 3, 1]
+    with pytest.raises(ConsistencyError, match=r"free_subgroups\(6, 2\)"):
+        free_subgroups(6, 2)
+
+
+def test_r_nu_recursive_checks_its_bounds(monkeypatch, cold_recursions):
+    monkeypatch.setattr(census, "beta", lambda k, nu: k)
+    assert [r_nu_recursive(m, 2) for m in range(1, 6)] == [1, 3, 4, 3, 1]
+    with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(6, 2\)"):
+        r_nu_recursive(6, 2)
+    # A total above m * a_m breaks the upper bound.
+    monkeypatch.setattr(census, "beta", lambda k, nu: -1 if k == 1 else 1)
+    with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(2, 3\)"):
+        r_nu_recursive(2, 3)
+
+
 def test_free_subgroup_counts():
-    expected = [1, 3, 13, 71, 461, 3447]
-    assert [count_subgroups(Free(2), n) for n in range(1, 7)] == expected
+    expected = [1, 3, 13, 71, 461, 3447, 29093]
+    assert [count_subgroups(Free(2), n) for n in range(1, 8)] == expected
+    assert [free_subgroups(n, 2) for n in range(1, 8)] == expected
     assert [count_subgroups(Free(1), n) for n in range(1, 21)] == [1] * 20
     assert count_subgroups(Free(3), 2) == 7
     assert count_subgroups(Free(3), 3) == 97

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import subprocess
 import sys
@@ -70,6 +71,15 @@ def test_count_bad_index(capsys):
 def test_table_bad_max_index(capsys):
     code, _, err = run_cli(capsys, "table", "--group", "free:2", "--max-index", "0")
     assert code == 2
+    assert "--max-index" in err
+
+
+def test_bad_order_and_verify_max_index_exit_two(capsys):
+    code, out, err = run_cli(capsys, "epi", "--rank", "1", "--order", "0")
+    assert (code, out) == (2, "")
+    assert "--order" in err
+    code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "-1")
+    assert (code, out) == (2, "")
     assert "--max-index" in err
 
 
@@ -180,6 +190,58 @@ def test_epi_command(capsys):
     code, out, _ = run_cli(capsys, "epi", "--order", "1")
     assert code == 0
     assert out == "1\n"
+
+
+@pytest.fixture
+def default_digit_limit():
+    # CPython's default limit on int-to-str conversion, whatever the
+    # environment set; skipped where the interpreter has no such limit.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    # For reading the output back; main must print it under the limit.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_epi_prints_results_past_the_digit_limit(capsys, default_digit_limit):
+    code, out, err = run_cli(capsys, "epi", "--rank", "15000", "--order", "2")
+    assert (code, err) == (0, "")
+    digits = out.strip()
+    assert len(digits) == 4516
+    with unlimited_digits():
+        assert int(digits) == 2**15000 - 1
+
+
+def test_table_json_prints_results_past_the_digit_limit(capsys, default_digit_limit):
+    # M(50) of free:70 is about 50 * (50!)^69 and has 4,452 digits.
+    code, out, err = run_cli(
+        capsys, "table", "--group", "free:70", "--max-index", "50", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    with unlimited_digits():
+        records = json.loads(out)
+        assert len(str(records[-1]["M"])) == 4452
+    assert [record["n"] for record in records] == list(range(1, 51))
+
+
+def test_main_restores_the_digit_limit(capsys, default_digit_limit):
+    sys.set_int_max_str_digits(5000)
+    assert run_cli(capsys, "epi", "--rank", "15000", "--order", "2")[0] == 0
+    assert sys.get_int_max_str_digits() == 5000
+    assert run_cli(capsys, "count", "--group", "free:2", "--index", "0")[0] == 2
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_epi_rejects_bad_torsion(capsys):

@@ -1,6 +1,7 @@
-"""Every function that takes a subgroup index or a partition size refuses
-bool and non-int values with TypeError, also once the int is cached, and so
-does every one that takes an exponent, a rank or a genus.
+"""Every function that takes a subgroup index, a partition size or the
+order of a cyclic group refuses bool and non-int values with TypeError,
+also once the int is cached, and so does every one that takes an exponent,
+a rank or a genus.
 
 True == 1 and 2.0 == 2 hash alike, so an lru_cache without typed=True would
 answer beta(True, 2) from the entry of beta(1, 2) without running the check.
@@ -10,25 +11,27 @@ equal int has been computed and cached.
 
 import pytest
 
-from covercount.abelian import HomologySignature
+from covercount.abelian import HomologySignature, epi_count, hom_count
 from covercount.census import (
     Free,
     NonOrientableSurface,
     OrientableSurface,
     count_orientable_subgroups,
     covering_fiber,
-    hall_t,
+    free_subgroups,
     r_nu_closed,
     r_nu_recursive,
 )
 from covercount.characters import beta, hook_spectrum, partitions
 from covercount.classes import count_classes_generic
 from covercount.errors import check_index
+from covercount.numtheory import divisor_pairs, divisors, euler_phi, mobius
+from covercount.oracle import oracle_epi_count, tuple_space_size
 
-CACHED = (hall_t, r_nu_recursive, beta, hook_spectrum)
+CACHED = (free_subgroups, r_nu_recursive, beta, hook_spectrum)
 
 INDEXED = {
-    "hall_t": lambda m: hall_t(m, 2),
+    "free_subgroups": lambda m: free_subgroups(m, 2),
     "r_nu_recursive": lambda m: r_nu_recursive(m, 2),
     "r_nu_closed": lambda m: r_nu_closed(m, 2),
     "beta": lambda k: beta(k, 2),
@@ -39,6 +42,14 @@ INDEXED = {
     "count_classes_generic": lambda n: count_classes_generic(
         n, lambda m: covering_fiber(Free(2), m)
     ),
+    "divisors": divisors,
+    "divisor_pairs": divisor_pairs,
+    "mobius": mobius,
+    "euler_phi": euler_phi,
+    "hom_count": lambda d: hom_count(HomologySignature(rank=1), d),
+    "epi_count": lambda ell: epi_count(HomologySignature(rank=1), ell),
+    "oracle_epi_count": lambda ell: oracle_epi_count(HomologySignature(rank=1), ell),
+    "tuple_space_size": lambda n: tuple_space_size(Free(2), n),
 }
 
 # Exponents, ranks and genera, each with the least value it accepts.
@@ -46,7 +57,7 @@ PARAMETERS = {
     "Free": (Free, 1),
     "OrientableSurface": (OrientableSurface, 1),
     "NonOrientableSurface": (NonOrientableSurface, 2),
-    "hall_t.r": (lambda r: hall_t(3, r), 1),
+    "free_subgroups.r": (lambda r: free_subgroups(3, r), 1),
     "beta.nu": (lambda nu: beta(3, nu), 0),
     "r_nu_recursive.nu": (lambda nu: r_nu_recursive(3, nu), 0),
     "r_nu_closed.nu": (lambda nu: r_nu_closed(3, nu), 0),
@@ -89,3 +100,22 @@ def test_check_index_accepts_positive_ints_only():
     assert check_index(3) == 3
     with pytest.raises(ValueError):
         check_index(0, "k")
+
+
+ORDERS = (
+    "divisors",
+    "divisor_pairs",
+    "mobius",
+    "euler_phi",
+    "hom_count",
+    "epi_count",
+    "oracle_epi_count",
+    "tuple_space_size",
+)
+
+
+@pytest.mark.parametrize("name", ORDERS)
+@pytest.mark.parametrize("bad", [0, -1])
+def test_orders_below_one_raise_value_error(name, bad):
+    with pytest.raises(ValueError):
+        INDEXED[name](bad)
