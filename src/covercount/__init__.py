@@ -23,8 +23,6 @@ from .errors import ConsistencyError, ResourceLimitError
 from .numtheory import DivisorPair, divisor_pairs, divisors, euler_phi, gcd, mobius
 from .oracle import (
     FEASIBILITY_LIMIT,
-    PermutationTuple,
-    enumerate_relation_homs,
     kernel_backend,
     oracle_count_classes,
     oracle_count_subgroups,
@@ -48,7 +46,6 @@ __all__ = [
     "NonOrientableSurface",
     "OrientableSurface",
     "Partition",
-    "PermutationTuple",
     "ResourceLimitError",
     "beta",
     "census_table",
@@ -61,7 +58,6 @@ __all__ = [
     "degree",
     "divisor_pairs",
     "divisors",
-    "enumerate_relation_homs",
     "epi_count",
     "euler_phi",
     "free_subgroups",

@@ -9,22 +9,28 @@ Three families of groups are supported:
   non-orientable surface of genus p >= 2, with the product-of-squares
   relation.
 
+Each family class is the one record of what the formula routes know about
+it: its spec prefix (FAMILIES maps each prefix to its class), whether its
+subgroups split by orientability (splits), its subgroup counts
+(subgroups(m)) and its covering fiber (fiber(m)).  count_subgroups and
+covering_fiber check their arguments and ask the record.
+
 count_subgroups gives the number M(m) of index-m subgroups.  With
 a_k = |Hom(G, S_k)| / k!, every supported group satisfies
 
     M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j),
 
 and the families differ only in a_k.  For Free(r) it is (k!)^(r-1), since
-each of the r generators may go anywhere (Hall 1949); free_subgroups runs
-the recursion with it.  For surface groups it is a sum over symmetric group
+each of the r generators may go anywhere (Hall 1949); free_subgroups feeds
+it to the recursion.  For surface groups it is a sum over symmetric group
 characters: beta(k, nu), the sum of (k!/degree)^nu over partitions of k,
 with nu the Euler-characteristic exponent (2g - 2 orientable, p - 2
-non-orientable).  r_nu_recursive runs the recursion with beta; r_nu_closed
-implements the equivalent inclusion-exclusion over compositions with
-rational coefficients and is kept as an independent route for
-cross-checking.  Both recursions check 1 <= M(m) <= m * a_m: the index-m
-subgroups number at most |Hom(G, S_m)| / (m-1)!, and at least one, since
-every supported group maps onto Z.
+non-orientable); r_nu_recursive feeds beta to the recursion.  Both take
+each step from one private body, which also checks 1 <= M(m) <= m * a_m:
+the index-m subgroups number at most |Hom(G, S_m)| / (m-1)!, and at least
+one, since every supported group maps onto Z.  r_nu_closed implements the
+equivalent inclusion-exclusion over compositions with rational
+coefficients and is kept as an independent route for cross-checking.
 
 An index-m subgroup is again a free or surface group, with rank or genus
 given by the Riemann-Hurwitz relations.  covering_fiber records, for each
@@ -35,10 +41,11 @@ group split into orientable ones (which exist only for even m, counted by
 count_orientable_subgroups) and non-orientable ones.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .abelian import HomologySignature
 from .characters import beta
@@ -46,9 +53,17 @@ from .errors import ConsistencyError, check_index
 
 
 class GroupKind:
-    """Base class for the supported group families."""
+    """Base class for the family records described in the module docstring."""
 
     __slots__ = ()
+
+    prefix: str
+    splits = False
+
+    def __str__(self):
+        # Every family has one parameter, its only dataclass field.
+        (parameter,) = fields(self)
+        return f"{self.prefix}:{getattr(self, parameter.name)}"
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,7 @@ class Free(GroupKind):
     """Free group of the given rank."""
 
     rank: int
+    prefix = "free"
 
     def __post_init__(self):
         check_index(self.rank, "free rank")
@@ -64,8 +80,13 @@ class Free(GroupKind):
     def generator_count(self) -> int:
         return self.rank
 
-    def __str__(self):
-        return f"free:{self.rank}"
+    def subgroups(self, m: int) -> int:
+        return free_subgroups(m, self.rank)
+
+    def fiber(self, m: int) -> list["FiberClass"]:
+        # Every index-m subgroup is free of rank (r-1)m + 1.
+        signature = HomologySignature(rank=(self.rank - 1) * m + 1)
+        return [FiberClass(signature, self.subgroups(m))]
 
 
 @dataclass(frozen=True)
@@ -73,6 +94,7 @@ class OrientableSurface(GroupKind):
     """Fundamental group of the closed orientable surface of genus g >= 1."""
 
     genus: int
+    prefix = "orient"
 
     def __post_init__(self):
         check_index(self.genus, "orientable genus")
@@ -81,8 +103,14 @@ class OrientableSurface(GroupKind):
     def generator_count(self) -> int:
         return 2 * self.genus
 
-    def __str__(self):
-        return f"orient:{self.genus}"
+    def subgroups(self, m: int) -> int:
+        return r_nu_recursive(m, 2 * self.genus - 2)
+
+    def fiber(self, m: int) -> list["FiberClass"]:
+        # Every index-m subgroup is the orientable surface group of genus
+        # (g-1)m + 1, with abelianisation of rank 2(g-1)m + 2.
+        signature = HomologySignature(rank=2 * (self.genus - 1) * m + 2)
+        return [FiberClass(signature, self.subgroups(m))]
 
 
 @dataclass(frozen=True)
@@ -90,6 +118,8 @@ class NonOrientableSurface(GroupKind):
     """Fundamental group of the closed non-orientable surface of genus p >= 2."""
 
     genus: int
+    prefix = "nonorient"
+    splits = True
 
     def __post_init__(self):
         check_index(self.genus, "non-orientable genus", minimum=2)
@@ -98,8 +128,32 @@ class NonOrientableSurface(GroupKind):
     def generator_count(self) -> int:
         return self.genus
 
-    def __str__(self):
-        return f"nonorient:{self.genus}"
+    def subgroups(self, m: int) -> int:
+        return r_nu_recursive(m, self.genus - 2)
+
+    def fiber(self, m: int) -> list["FiberClass"]:
+        # Orientable index-m subgroups abelianise to rank m(p-2) + 2 with no
+        # torsion, non-orientable ones to rank m(p-2) + 1 with a single
+        # order-2 torsion summand.
+        p = self.genus
+        classes = [
+            FiberClass(HomologySignature(rank=m * (p - 2) + 2), count_orientable_subgroups(p, m)),
+            FiberClass(
+                HomologySignature(torsion=(2,), rank=m * (p - 2) + 1),
+                count_nonorientable_subgroups(p, m),
+            ),
+        ]
+        return [fiber for fiber in classes if fiber.multiplicity > 0]
+
+
+FAMILIES = {family.prefix: family for family in (Free, OrientableSurface, NonOrientableSurface)}
+
+
+def check_kind(kind) -> GroupKind:
+    """Return kind if it is one of the supported families, else raise TypeError."""
+    if not isinstance(kind, GroupKind):
+        raise TypeError(f"unsupported group kind {kind!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -110,8 +164,7 @@ class FiberClass:
     multiplicity: int
 
     def __post_init__(self):
-        if self.multiplicity < 0:
-            raise ValueError(f"multiplicity must be nonnegative, got {self.multiplicity}")
+        check_index(self.multiplicity, "multiplicity", minimum=0)
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +172,18 @@ def _factorial_power(k: int, e: int) -> int:
     # a_k = (k!)^(r-1) for Free(r); every free_subgroups(m, r) with m > k
     # reads it, so it is raised to the power once per (k, r).
     return factorial(k) ** e
+
+
+def _recursion_step(a: list[int], lower: list[int], call: str, a_m: str) -> int:
+    # M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j), with a = [a_1..a_m]
+    # and lower = [M(1)..M(m-1)]; call and a_m name the caller and its a_m
+    # in the error raised when M(m) leaves [1, m * a_m].
+    m = len(a)
+    bound = m * a[-1]
+    total = bound - sum(map(mul, reversed(a[:-1]), lower))
+    if not 1 <= total <= bound:
+        raise ConsistencyError(f"{call} is outside [1, m * {a_m}]")
+    return total
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -135,13 +200,9 @@ def free_subgroups(m: int, r: int) -> int:
     check_index(r, "r")
     if m == 1:
         return 1
-    bound = m * _factorial_power(m, r - 1)
-    total = bound
-    for j in range(1, m):
-        total -= _factorial_power(m - j, r - 1) * free_subgroups(j, r)
-    if not 1 <= total <= bound:
-        raise ConsistencyError(f"free_subgroups({m}, {r}) is outside [1, m * (m!)^(r-1)]")
-    return total
+    a = [_factorial_power(k, r - 1) for k in range(1, m + 1)]
+    lower = [free_subgroups(j, r) for j in range(1, m)]
+    return _recursion_step(a, lower, f"free_subgroups({m}, {r})", "(m!)^(r-1)")
 
 
 def _composition_sums(m: int, nu: int):
@@ -194,25 +255,15 @@ def r_nu_recursive(m: int, nu: int) -> int:
         check_index(nu, "nu", minimum=0)
     if m == 1:
         return 1
-    bound = m * beta(m, nu)
-    total = bound
-    for j in range(1, m):
-        total -= beta(m - j, nu) * r_nu_recursive(j, nu)
-    if not 1 <= total <= bound:
-        raise ConsistencyError(f"r_nu_recursive({m}, {nu}) is outside [1, m * beta(m, nu)]")
-    return total
+    a = [beta(k, nu) for k in range(1, m + 1)]
+    lower = [r_nu_recursive(j, nu) for j in range(1, m)]
+    return _recursion_step(a, lower, f"r_nu_recursive({m}, {nu})", "beta(m, nu)")
 
 
 def count_subgroups(kind: GroupKind, m: int) -> int:
     """Number of index-m subgroups of the given group."""
     check_index(m, "m")
-    if isinstance(kind, Free):
-        return free_subgroups(m, kind.rank)
-    if isinstance(kind, OrientableSurface):
-        return r_nu_recursive(m, 2 * kind.genus - 2)
-    if isinstance(kind, NonOrientableSurface):
-        return r_nu_recursive(m, kind.genus - 2)
-    raise TypeError(f"unsupported group kind {kind!r}")
+    return check_kind(kind).subgroups(m)
 
 
 def count_orientable_subgroups(p: int, m: int) -> int:
@@ -240,31 +291,8 @@ def count_nonorientable_subgroups(p: int, m: int) -> int:
 def covering_fiber(kind: GroupKind, m: int) -> list[FiberClass]:
     """Abelianisations of the index-m subgroups, grouped with multiplicities.
 
-    Free(r): every index-m subgroup is free of rank (r-1)m + 1.
-    OrientableSurface(g): every index-m subgroup is the orientable surface
-    group of genus (g-1)m + 1, with abelianisation of rank 2(g-1)m + 2.
-    NonOrientableSurface(p): orientable index-m subgroups abelianise to rank
-    m(p-2) + 2 with no torsion, non-orientable ones to rank m(p-2) + 1 with
-    a single order-2 torsion summand.  Classes with multiplicity zero are
-    omitted.
+    Each family's fiber method holds its rule.  Classes with multiplicity
+    zero are omitted.
     """
     check_index(m, "m")
-    if isinstance(kind, Free):
-        signature = HomologySignature(rank=(kind.rank - 1) * m + 1)
-        return [FiberClass(signature, count_subgroups(kind, m))]
-    if isinstance(kind, OrientableSurface):
-        signature = HomologySignature(rank=2 * (kind.genus - 1) * m + 2)
-        return [FiberClass(signature, count_subgroups(kind, m))]
-    if isinstance(kind, NonOrientableSurface):
-        p = kind.genus
-        classes = []
-        orientable = count_orientable_subgroups(p, m)
-        if orientable > 0:
-            classes.append(FiberClass(HomologySignature(rank=m * (p - 2) + 2), orientable))
-        nonorientable = count_nonorientable_subgroups(p, m)
-        if nonorientable > 0:
-            classes.append(
-                FiberClass(HomologySignature(torsion=(2,), rank=m * (p - 2) + 1), nonorientable)
-            )
-        return classes
-    raise TypeError(f"unsupported group kind {kind!r}")
+    return check_kind(kind).fiber(m)

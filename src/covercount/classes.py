@@ -6,28 +6,26 @@ epimorphisms from each index-m subgroup onto the cyclic group of order ell
 (weighted by multiplicity) yields exactly n * N(n).  Only the abelianisation
 of each subgroup enters, which is what covering_fiber provides.
 
-count_classes_generic runs that driver against an arbitrary fiber provider.
-count_classes is the specialised route for the built-in families: it inlines
-the Mobius inversion as a gcd-weighted power sum, with exponents read off
-the covering_fiber signatures so the two routes cannot drift apart.  Both
-routes verify that the accumulator is divisible by n before dividing; a
-failure means the fiber data is wrong.
+count_classes_generic is that driver, run against any fiber provider; it
+verifies that the accumulator is divisible by n before dividing, and a
+failure means the fiber data is wrong.  count_classes runs it with
+covering_fiber as the provider, so the built-in families and any other
+provider share one driver.
 """
 
 from dataclasses import dataclass
 
 from .abelian import epi_count
 from .census import (
-    FiberClass,
     GroupKind,
-    NonOrientableSurface,
+    check_kind,
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
     covering_fiber,
 )
 from .errors import ConsistencyError, check_index
-from .numtheory import divisor_pairs, divisors, gcd, mobius
+from .numtheory import divisor_pairs
 
 
 @dataclass(frozen=True)
@@ -69,28 +67,8 @@ def count_classes_generic(n, fiber_provider) -> int:
 
 
 def count_classes(kind: GroupKind, n: int) -> int:
-    """Conjugacy classes of index-n subgroups of the given group.
-
-    Specialised form of the generic driver: for each factorisation
-    n = ell * m and each fiber class, the epimorphism count is expanded as
-    sum_{d | ell} mobius(ell/d) * gcd(t_1, d) * ... * d^rank.
-    """
-    check_index(n)
-    acc = 0
-    for ell, m in divisor_pairs(n):
-        for fiber in covering_fiber(kind, m):
-            signature = fiber.signature
-            epi = 0
-            for d in divisors(ell):
-                term = mobius(ell // d) * d**signature.rank
-                for t in signature.torsion:
-                    term *= gcd(t, d)
-                epi += term
-            acc += fiber.multiplicity * epi
-    count, rem = divmod(acc, n)
-    if rem:
-        raise ConsistencyError(f"epimorphism total {acc} not divisible by n = {n}")
-    return count
+    """Conjugacy classes of index-n subgroups of the given group."""
+    return count_classes_generic(n, lambda m: covering_fiber(kind, m))
 
 
 def _check_row(row: CensusRow) -> None:
@@ -106,7 +84,7 @@ def census_table(kind: GroupKind, n_max: int) -> CensusTable:
     """Census rows for n = 1..n_max, with the split for non-orientable groups."""
     check_index(n_max, "n_max")
     rows = []
-    split = isinstance(kind, NonOrientableSurface)
+    split = check_kind(kind).splits
     for n in range(1, n_max + 1):
         row = CensusRow(
             n=n,

@@ -15,10 +15,8 @@ import sys
 from . import oracle
 from .abelian import HomologySignature, epi_count
 from .census import (
-    Free,
+    FAMILIES,
     GroupKind,
-    NonOrientableSurface,
-    OrientableSurface,
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
@@ -36,13 +34,9 @@ def parse_group_spec(text: str) -> GroupKind:
         number = int(value)
     except ValueError:
         raise ValueError(f"bad group parameter {value!r} in {text!r}") from None
-    if family == "free":
-        return Free(number)
-    if family == "orient":
-        return OrientableSurface(number)
-    if family == "nonorient":
-        return NonOrientableSurface(number)
-    raise ValueError(f"unknown group family {family!r} in {text!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown group family {family!r} in {text!r}")
+    return FAMILIES[family](number)
 
 
 def _parse_torsion(text: str) -> tuple[int, ...]:
@@ -54,8 +48,6 @@ def _parse_torsion(text: str) -> tuple[int, ...]:
             order = int(piece)
         except ValueError:
             raise ValueError(f"bad torsion order {piece!r}") from None
-        if order < 2:
-            raise ValueError(f"torsion orders must be >= 2, got {order}")
         orders.append(order)
     return tuple(orders)
 
@@ -68,7 +60,7 @@ def cmd_count(args) -> int:
     elif args.what == "classes":
         print(count_classes(kind, n))
     else:
-        if not isinstance(kind, NonOrientableSurface):
+        if not kind.splits:
             raise ValueError("--what split applies only to nonorient groups")
         plus = count_orientable_subgroups(kind.genus, n)
         minus = count_nonorientable_subgroups(kind.genus, n)
@@ -80,7 +72,7 @@ def cmd_table(args) -> int:
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
     table = census_table(kind, n_max)
-    split = isinstance(kind, NonOrientableSurface)
+    split = kind.splits
     records = []
     for row in table.rows:
         record = {"n": row.n, "M": row.subgroups}
@@ -103,7 +95,7 @@ def cmd_verify(args) -> int:
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
     oracle.check_feasible(kind, n_max)
-    split = isinstance(kind, NonOrientableSurface)
+    split = kind.splits
     failures = 0
     for n in range(1, n_max + 1):
         checks = [

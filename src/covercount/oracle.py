@@ -14,8 +14,7 @@ search per (relation, generators, index) serves all three counters.
 
 The tuple kernels in _pykernels walk every tuple of generator images in
 the symmetric group instead.  They are the reference the search is tested
-against at small n, and enumerate_relation_homs yields their
-relation-satisfying tuples.
+against at small n.
 
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  Requests whose tuple space |S_n|^generators
@@ -23,11 +22,9 @@ exceeds FEASIBILITY_LIMIT raise ResourceLimitError up front rather than run
 forever, and nothing is ever silently truncated.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Iterator
 
 from . import _pykernels
 from .abelian import HomologySignature
@@ -55,19 +52,6 @@ def kernel_backend() -> str:
     return "python"
 
 
-@dataclass(frozen=True)
-class PermutationTuple:
-    """Generator images in the symmetric group on degree points.
-
-    Permutations are tuples mapping point to image; the tuple lists one
-    permutation per generator of the group's standard presentation and
-    satisfies its defining relation.
-    """
-
-    degree: int
-    images: tuple[tuple[int, ...], ...]
-
-
 def _relation_code(kind: GroupKind) -> int:
     if isinstance(kind, Free):
         return _pykernels.REL_FREE
@@ -92,24 +76,6 @@ def check_feasible(kind: GroupKind, n: int) -> None:
             f"enumerating {size} tuples for {kind} at index {n} "
             f"exceeds the limit of {FEASIBILITY_LIMIT}"
         )
-
-
-def enumerate_relation_homs(kind: GroupKind, n: int) -> Iterator[PermutationTuple]:
-    """Yield every relation-satisfying generator tuple on n points.
-
-    Transitivity is deliberately not filtered here; callers who need
-    transitive tuples only, or counts, use the oracle_* operations.
-    Feasibility is checked immediately, not on first iteration.
-    """
-    check_feasible(kind, n)
-    rel = _relation_code(kind)
-
-    def generate():
-        for images in _pykernels._iter_tuples(kind.generator_count, n):
-            if _pykernels.satisfies_relation(rel, images, n):
-                yield PermutationTuple(n, images)
-
-    return generate()
 
 
 def _relator(rel: int, gens: int) -> tuple[int, ...]:
@@ -284,16 +250,18 @@ def _least_standard(fwd: list[list[int]], n: int) -> bool:
 def oracle_count_subgroups(kind: GroupKind, n: int) -> int:
     """Index-n subgroup count: the leaves of the coset-table search."""
     check_index(n)
+    rel = _relation_code(kind)
     check_feasible(kind, n)
-    return _coset_search(_relation_code(kind), kind.generator_count, n)[0]
+    return _coset_search(rel, kind.generator_count, n)[0]
 
 
 def oracle_count_classes(kind: GroupKind, n: int) -> int:
     """Conjugacy classes of index-n subgroups: the coset-table search's
     leaves that are least among their re-standardisations."""
     check_index(n)
+    rel = _relation_code(kind)
     check_feasible(kind, n)
-    return _coset_search(_relation_code(kind), kind.generator_count, n)[1]
+    return _coset_search(rel, kind.generator_count, n)[1]
 
 
 def oracle_orientable_split(p: int, n: int) -> tuple[int, int]:

@@ -6,8 +6,10 @@ import pytest
 import covercount.census as census
 from covercount.abelian import HomologySignature
 from covercount.census import (
+    FAMILIES,
     FiberClass,
     Free,
+    GroupKind,
     NonOrientableSurface,
     OrientableSurface,
     check_index,
@@ -45,9 +47,32 @@ def test_group_kind_spec_strings():
     assert str(NonOrientableSurface(4)) == "nonorient:4"
 
 
+def test_families_are_the_three_records():
+    assert FAMILIES == {
+        "free": Free,
+        "orient": OrientableSurface,
+        "nonorient": NonOrientableSurface,
+    }
+    for prefix, family in FAMILIES.items():
+        assert family.prefix == prefix
+        assert family.splits is (family is NonOrientableSurface)
+    assert GroupKind.splits is False
+
+
+def test_non_family_argument_raises_type_error():
+    for bad in (object(), "free:2", None):
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            count_subgroups(bad, 2)
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            covering_fiber(bad, 2)
+
+
 def test_fiber_class_validation():
     with pytest.raises(ValueError):
         FiberClass(HomologySignature(), -1)
+    for bad in (True, 2.0, "1"):
+        with pytest.raises(TypeError):
+            FiberClass(HomologySignature(), bad)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from covercount.classes import (
     count_classes_generic,
 )
 from covercount.errors import ConsistencyError
-from covercount.numtheory import divisors
+from covercount.numtheory import divisor_pairs, divisors, gcd, mobius
 
 KINDS = [
     Free(1),
@@ -28,6 +28,26 @@ KINDS = [
     NonOrientableSurface(3),
     NonOrientableSurface(4),
 ]
+
+
+def _inline_count_classes(kind, n):
+    # The driver with the Mobius inversion inlined as a gcd-weighted power
+    # sum: for each factorisation n = ell * m and each fiber class, the
+    # epimorphism count is sum_{d | ell} mobius(ell/d) * gcd(t_1, d) * ... * d^rank.
+    acc = 0
+    for ell, m in divisor_pairs(n):
+        for fiber in covering_fiber(kind, m):
+            signature = fiber.signature
+            epi = 0
+            for d in divisors(ell):
+                term = mobius(ell // d) * d**signature.rank
+                for t in signature.torsion:
+                    term *= gcd(t, d)
+                epi += term
+            acc += fiber.multiplicity * epi
+    count, rem = divmod(acc, n)
+    assert rem == 0
+    return count
 
 
 def test_free_class_counts():
@@ -57,9 +77,10 @@ def test_count_classes_rejects_zero():
 
 def test_generic_driver_matches_specialised_route():
     for kind in KINDS:
-        provider = lambda m, kind=kind: covering_fiber(kind, m)
         for n in range(1, 11):
-            assert count_classes_generic(n, provider) == count_classes(kind, n)
+            assert count_classes(kind, n) == _inline_count_classes(kind, n), (kind, n)
+    for n in range(1, 61):
+        assert count_classes(Free(2), n) == _inline_count_classes(Free(2), n), n
 
 
 def test_generic_driver_spec_example():
@@ -80,6 +101,12 @@ def test_generic_driver_rejects_inconsistent_provider():
     provider = lambda m: [FiberClass(HomologySignature(), 1)]
     with pytest.raises(ConsistencyError):
         count_classes_generic(2, provider)
+
+
+def test_generic_driver_refuses_a_float_multiplicity():
+    # FiberClass refuses it, so the class count cannot come out as 2.0.
+    with pytest.raises(TypeError):
+        count_classes_generic(2, lambda m: [FiberClass(HomologySignature(rank=1), 2.0)])
 
 
 def test_index_two_classes_equal_subgroups():
@@ -115,6 +142,14 @@ def test_census_table_bounds():
 def test_census_table_rejects_zero():
     with pytest.raises(ValueError):
         census_table(Free(2), 0)
+
+
+def test_class_counts_reject_a_non_family_argument():
+    for bad in (object(), "free:2", None):
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            count_classes(bad, 2)
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            census_table(bad, 2)
 
 
 def test_class_counts_reject_bool_and_non_int_indices():

@@ -23,6 +23,8 @@ def test_parse_group_spec():
     for bad in ("free", "free:", "free:x", "banana:2", "free:0", "orient:0", "nonorient:1"):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
+    for kind in (Free(1), Free(5), OrientableSurface(2), NonOrientableSurface(2)):
+        assert parse_group_spec(str(kind)) == kind
 
 
 def test_count_subgroups(capsys):

@@ -20,7 +20,6 @@ from covercount.oracle import (
     _coset_search,
     _relation_code,
     check_feasible,
-    enumerate_relation_homs,
     kernel_backend,
     oracle_count_classes,
     oracle_count_subgroups,
@@ -49,28 +48,6 @@ def test_tuple_space_size():
     assert tuple_space_size(Free(2), 3) == 36
     assert tuple_space_size(OrientableSurface(1), 3) == 36
     assert tuple_space_size(NonOrientableSurface(3), 2) == 8
-
-
-def test_enumeration_counts_and_contents():
-    homs = list(enumerate_relation_homs(Free(1), 3))
-    assert len(homs) == 6
-    homs = list(enumerate_relation_homs(OrientableSurface(1), 2))
-    assert len(homs) == 4
-    # In S_2 every permutation is an involution, so all 2^3 triples work.
-    homs = list(enumerate_relation_homs(NonOrientableSurface(3), 2))
-    assert len(homs) == 8
-    for kind, n in ((Free(2), 3), (OrientableSurface(1), 3), (NonOrientableSurface(2), 3)):
-        homs = list(enumerate_relation_homs(kind, n))
-        rel = {Free: 0, OrientableSurface: 1, NonOrientableSurface: 2}[type(kind)]
-        total, _ = _pykernels.count_relation_tuples(rel, kind.generator_count, n)
-        assert len(homs) == total
-        assert len(set(h.images for h in homs)) == total
-        for hom in homs:
-            assert hom.degree == n
-            assert len(hom.images) == kind.generator_count
-            for p in hom.images:
-                assert sorted(p) == list(range(n))
-            assert _pykernels.satisfies_relation(rel, hom.images, n)
 
 
 def test_oracle_subgroup_counts_match_formulas():
@@ -166,9 +143,17 @@ def test_feasibility_gate():
         oracle_count_classes(OrientableSurface(2), 8)
     with pytest.raises(ResourceLimitError):
         oracle_orientable_split(2, 13)
-    with pytest.raises(ResourceLimitError):
-        enumerate_relation_homs(Free(2), 50)
     assert FEASIBILITY_LIMIT == 200_000_000
+
+
+def test_oracle_rejects_a_non_family_argument_before_the_gate():
+    for bad in (object(), "free:2", None):
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            oracle_count_subgroups(bad, 2)
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            oracle_count_classes(bad, 2)
+        with pytest.raises(TypeError):
+            oracle_orientable_split(bad, 2)
 
 
 def test_oracle_rejects_zero_index():
