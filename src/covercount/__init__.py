@@ -22,13 +22,11 @@ from .classes import CensusRow, CensusTable, census_table, count_classes, count_
 from .errors import ConsistencyError, ResourceLimitError
 from .numtheory import DivisorPair, divisor_pairs, divisors, euler_phi, gcd, mobius
 from .oracle import (
-    FEASIBILITY_LIMIT,
     kernel_backend,
     oracle_count_classes,
     oracle_count_subgroups,
     oracle_epi_count,
     oracle_orientable_split,
-    tuple_space_size,
 )
 
 __version__ = "0.1.0"
@@ -38,7 +36,6 @@ __all__ = [
     "CensusTable",
     "ConsistencyError",
     "DivisorPair",
-    "FEASIBILITY_LIMIT",
     "FiberClass",
     "Free",
     "GroupKind",
@@ -74,5 +71,4 @@ __all__ = [
     "partitions",
     "r_nu_closed",
     "r_nu_recursive",
-    "tuple_space_size",
 ]

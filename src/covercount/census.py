@@ -151,7 +151,7 @@ FAMILIES = {family.prefix: family for family in (Free, OrientableSurface, NonOri
 
 def check_kind(kind) -> GroupKind:
     """Return kind if it is one of the supported families, else raise TypeError."""
-    if not isinstance(kind, GroupKind):
+    if not isinstance(kind, tuple(FAMILIES.values())):
         raise TypeError(f"unsupported group kind {kind!r}")
     return kind
 

@@ -94,7 +94,9 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
-    oracle.check_feasible(kind, n_max)
+    # The largest search first: it is cached for the loop below, and one
+    # over the node limit is refused before any line is printed.
+    oracle.oracle_count_subgroups(kind, n_max)
     split = kind.splits
     failures = 0
     for n in range(1, n_max + 1):

@@ -10,7 +10,8 @@ class ConsistencyError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A brute-force request exceeds the enumeration feasibility bound."""
+    """A brute-force request exceeds its work bound: the coset search's node
+    limit or the epimorphism enumeration's size bounds."""
 
 
 def check_index(value, name: str = "n", minimum: int = 1) -> int:

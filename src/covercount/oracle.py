@@ -17,14 +17,13 @@ the symmetric group instead.  They are the reference the search is tested
 against at small n.
 
 Everything here is exponential; it exists to confirm the formula routes on
-small indices, not to compute.  Requests whose tuple space |S_n|^generators
-exceeds FEASIBILITY_LIMIT raise ResourceLimitError up front rather than run
-forever, and nothing is ever silently truncated.
+small indices, not to compute.  A search that visits more than NODE_LIMIT
+nodes stops with ResourceLimitError rather than run for minutes, and nothing
+is ever silently truncated or cached.
 """
 
 from functools import lru_cache
 from itertools import product
-from math import factorial
 
 from . import _pykernels
 from .abelian import HomologySignature
@@ -34,7 +33,10 @@ from .numtheory import gcd
 
 _kernels = _pykernels
 
-FEASIBILITY_LIMIT = 200_000_000
+# The most nodes (entries to the search's descend step) one coset search may
+# visit.  At 3-8 us a node (CPython 3.11) this stops a search after about 10-20 s: it admits
+# free:2 n=8 (1.1M nodes) and orient:2 n=5 (2.0M), not free:3 n=6 (15M).
+NODE_LIMIT = 2_500_000
 
 # Epimorphism brute force stays pure Python; its bounds keep it tiny.
 EPI_MAX_GENERATORS = 6
@@ -60,22 +62,6 @@ def _relation_code(kind: GroupKind) -> int:
     if isinstance(kind, NonOrientableSurface):
         return _pykernels.REL_SQUARES
     raise TypeError(f"unsupported group kind {kind!r}")
-
-
-def tuple_space_size(kind: GroupKind, n: int) -> int:
-    """Number of generator-image tuples the oracle would enumerate."""
-    check_index(n)
-    return factorial(n) ** kind.generator_count
-
-
-def check_feasible(kind: GroupKind, n: int) -> None:
-    """Raise ResourceLimitError when the enumeration space is too large."""
-    size = tuple_space_size(kind, n)
-    if size > FEASIBILITY_LIMIT:
-        raise ResourceLimitError(
-            f"enumerating {size} tuples for {kind} at index {n} "
-            f"exceeds the limit of {FEASIBILITY_LIMIT}"
-        )
 
 
 def _relator(rel: int, gens: int) -> tuple[int, ...]:
@@ -117,7 +103,13 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     and towards M+ when its point stabiliser is orientable (squares
     relation only).  Every leaf is re-checked with the tuple kernels'
     relation and transitivity tests.
+
+    Each entry to descend is one node.  The search raises ResourceLimitError
+    once it has visited more than NODE_LIMIT nodes, read when it starts; the
+    cache keeps no entry for a search that raised.
     """
+    limit = NODE_LIMIT
+    nodes = 0
     word = _relator(rel, gens)
     length = len(word)
     fwd = [[-1] * n for _ in range(gens)]
@@ -194,6 +186,10 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             totals[2] += 1
 
     def descend(x, g, count):
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise ResourceLimitError(f"the coset search exceeds the limit of {limit} nodes")
         while True:
             if g == gens:
                 x += 1
@@ -247,30 +243,30 @@ def _least_standard(fwd: list[list[int]], n: int) -> bool:
     return True
 
 
-def oracle_count_subgroups(kind: GroupKind, n: int) -> int:
-    """Index-n subgroup count: the leaves of the coset-table search."""
+def _search(kind: GroupKind, n: int) -> tuple[int, int, int]:
     check_index(n)
     rel = _relation_code(kind)
-    check_feasible(kind, n)
-    return _coset_search(rel, kind.generator_count, n)[0]
+    try:
+        return _coset_search(rel, kind.generator_count, n)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{kind} at index {n}: {exc}") from None
+
+
+def oracle_count_subgroups(kind: GroupKind, n: int) -> int:
+    """Index-n subgroup count: the leaves of the coset-table search."""
+    return _search(kind, n)[0]
 
 
 def oracle_count_classes(kind: GroupKind, n: int) -> int:
     """Conjugacy classes of index-n subgroups: the coset-table search's
     leaves that are least among their re-standardisations."""
-    check_index(n)
-    rel = _relation_code(kind)
-    check_feasible(kind, n)
-    return _coset_search(rel, kind.generator_count, n)[1]
+    return _search(kind, n)[1]
 
 
 def oracle_orientable_split(p: int, n: int) -> tuple[int, int]:
     """(orientable, non-orientable) index-n subgroup counts for
     NonOrientableSurface(p), by the parity check on point stabilisers."""
-    check_index(n)
-    kind = NonOrientableSurface(p)
-    check_feasible(kind, n)
-    subgroups, _, orientable = _coset_search(_relation_code(kind), kind.generator_count, n)
+    subgroups, _, orientable = _search(NonOrientableSurface(p), n)
     return orientable, subgroups - orientable
 
 

@@ -97,7 +97,7 @@ def test_criterion_4_genus_two_surface():
 
 def test_criterion_5_nonorientable_surfaces():
     start = time.perf_counter()
-    for p, expected, oracle_max in ((3, (7, 1, 6, 7), 5), (2, (3, 1, 2, 3), 5)):
+    for p, expected, oracle_max in ((3, (7, 1, 6, 7), 6), (2, (3, 1, 2, 3), 12)):
         kind = NonOrientableSurface(p)
         assert count_subgroups(kind, 2) == expected[0]
         assert count_orientable_subgroups(p, 2) == expected[1]
@@ -117,7 +117,7 @@ def test_criterion_5_nonorientable_surfaces():
     _report(
         5,
         "nonorient:3 (M, M+, M-, N)(2) = (7, 1, 6, 7) and nonorient:2 (3, 1, 2, 3), "
-        f"oracle and split confirmed for n <= 5 ({elapsed:.2f}s)",
+        f"oracle and split confirmed for n <= 6 and n <= 12 ({elapsed:.2f}s)",
     )
 
 
@@ -183,10 +183,10 @@ def test_criterion_9_character_degrees():
     _report(9, "degree squares sum to k! for k <= 12, beta(k, 0) counts partitions for k <= 20")
 
 
-def test_criterion_10_free_rank_two_oracle_at_index_seven():
+def test_criterion_10_free_rank_two_oracle_at_index_eight():
     start = time.perf_counter()
-    assert oracle_count_subgroups(Free(2), 7) == count_subgroups(Free(2), 7) == 29093
-    assert oracle_count_classes(Free(2), 7) == count_classes(Free(2), 7)
+    assert oracle_count_subgroups(Free(2), 8) == count_subgroups(Free(2), 8) == 273343
+    assert oracle_count_classes(Free(2), 8) == count_classes(Free(2), 8) == 34470
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    _report(10, f"free:2 M(7) = 29093 and N(7), confirmed by the oracle ({elapsed:.2f}s)")
+    _report(10, f"free:2 M(8) = 273343 and N(8) = 34470, confirmed by the oracle ({elapsed:.2f}s)")

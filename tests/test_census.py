@@ -13,6 +13,7 @@ from covercount.census import (
     NonOrientableSurface,
     OrientableSurface,
     check_index,
+    check_kind,
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
@@ -60,11 +61,19 @@ def test_families_are_the_three_records():
 
 
 def test_non_family_argument_raises_type_error():
-    for bad in (object(), "free:2", None):
+    for bad in (object(), "free:2", None, GroupKind()):
         with pytest.raises(TypeError, match="unsupported group kind"):
             count_subgroups(bad, 2)
         with pytest.raises(TypeError, match="unsupported group kind"):
             covering_fiber(bad, 2)
+
+
+def test_check_kind_accepts_the_families_only():
+    for kind in (Free(2), OrientableSurface(1), NonOrientableSurface(3)):
+        assert check_kind(kind) is kind
+    for bad in (GroupKind(), Free, None):
+        with pytest.raises(TypeError, match="unsupported group kind"):
+            check_kind(bad)
 
 
 def test_fiber_class_validation():

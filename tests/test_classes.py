@@ -4,6 +4,7 @@ from covercount.abelian import HomologySignature
 from covercount.census import (
     FiberClass,
     Free,
+    GroupKind,
     NonOrientableSurface,
     OrientableSurface,
     covering_fiber,
@@ -145,7 +146,7 @@ def test_census_table_rejects_zero():
 
 
 def test_class_counts_reject_a_non_family_argument():
-    for bad in (object(), "free:2", None):
+    for bad in (object(), "free:2", None, GroupKind()):
         with pytest.raises(TypeError, match="unsupported group kind"):
             count_classes(bad, 2)
         with pytest.raises(TypeError, match="unsupported group kind"):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from covercount import oracle
 from covercount.census import Free, NonOrientableSurface, OrientableSurface
 from covercount.cli import main, parse_group_spec
 from covercount.errors import ConsistencyError
@@ -172,11 +173,29 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert err == "internal error: cross-check failed\n"
 
 
-def test_verify_infeasible_request(capsys):
+def test_verify_infeasible_request(capsys, monkeypatch):
+    # A small node limit: under the real one free:2 n=50 would search for
+    # seconds before it is refused.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 400)
+    oracle._coset_search.cache_clear()
     code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "50")
     assert code == 2
     assert out == ""
-    assert "exceeds" in err
+    assert err.startswith("error: free:2 at index 50: ")
+    assert "exceeds the limit of 400 nodes" in err
+
+
+def test_verify_refuses_before_printing_any_index(capsys, monkeypatch):
+    # free:2 searches 309 nodes at index 4 and 1961 at index 5, so only the
+    # last index is over the limit; no line for indices 1 to 4 is printed.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 309)
+    oracle._coset_search.cache_clear()
+    code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: free:2 at index 5: ")
+    code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "n=4 PASS M=71 N=26"
 
 
 def test_epi_command(capsys):

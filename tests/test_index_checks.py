@@ -26,7 +26,7 @@ from covercount.characters import beta, hook_spectrum, partitions
 from covercount.classes import count_classes_generic
 from covercount.errors import check_index
 from covercount.numtheory import divisor_pairs, divisors, euler_phi, mobius
-from covercount.oracle import oracle_epi_count, tuple_space_size
+from covercount.oracle import oracle_epi_count
 
 CACHED = (free_subgroups, r_nu_recursive, beta, hook_spectrum)
 
@@ -49,7 +49,6 @@ INDEXED = {
     "hom_count": lambda d: hom_count(HomologySignature(rank=1), d),
     "epi_count": lambda ell: epi_count(HomologySignature(rank=1), ell),
     "oracle_epi_count": lambda ell: oracle_epi_count(HomologySignature(rank=1), ell),
-    "tuple_space_size": lambda n: tuple_space_size(Free(2), n),
 }
 
 # Exponents, ranks and genera, each with the least value it accepts.
@@ -110,7 +109,6 @@ ORDERS = (
     "hom_count",
     "epi_count",
     "oracle_epi_count",
-    "tuple_space_size",
 )
 
 

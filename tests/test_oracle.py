@@ -7,6 +7,7 @@ from covercount import _pykernels, oracle
 from covercount.abelian import HomologySignature, epi_count
 from covercount.census import (
     Free,
+    GroupKind,
     NonOrientableSurface,
     OrientableSurface,
     count_nonorientable_subgroups,
@@ -16,16 +17,13 @@ from covercount.census import (
 from covercount.classes import count_classes
 from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
-    FEASIBILITY_LIMIT,
     _coset_search,
     _relation_code,
-    check_feasible,
     kernel_backend,
     oracle_count_classes,
     oracle_count_subgroups,
     oracle_epi_count,
     oracle_orientable_split,
-    tuple_space_size,
 )
 
 SMALL_GRID = [
@@ -42,12 +40,6 @@ SMALL_GRID = [
 def test_kernel_backend_reports_a_known_name():
     assert kernel_backend() == "python"
     assert oracle._kernels is _pykernels
-
-
-def test_tuple_space_size():
-    assert tuple_space_size(Free(2), 3) == 36
-    assert tuple_space_size(OrientableSurface(1), 3) == 36
-    assert tuple_space_size(NonOrientableSurface(3), 2) == 8
 
 
 def test_oracle_subgroup_counts_match_formulas():
@@ -133,21 +125,64 @@ def test_oracle_epi_count_bounds():
         oracle_epi_count(HomologySignature((), 1), 0)
 
 
-def test_feasibility_gate():
-    check_feasible(Free(2), 7)
-    with pytest.raises(ResourceLimitError):
-        check_feasible(Free(2), 8)
-    with pytest.raises(ResourceLimitError):
+# One call per counter and relation: the descend entries of its coset
+# search, and its result.
+BUDGET_CASES = {
+    "free:2 n=5 subgroups": (lambda: oracle_count_subgroups(Free(2), 5), 1961, 461),
+    "orient:2 n=3 classes": (lambda: oracle_count_classes(OrientableSurface(2), 3), 1465, 100),
+    "nonorient:3 n=4 split": (lambda: oracle_orientable_split(3, 4), 1529, (15, 212)),
+}
+
+
+def test_feasibility_gate(monkeypatch):
+    # The node limit refuses each counter on a search that overruns it,
+    # naming the group and the index; the real limit is never reached here.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 400)
+    _coset_search.cache_clear()
+    with pytest.raises(ResourceLimitError, match=r"^free:2 at index 50: .* limit of 400 nodes"):
         oracle_count_subgroups(Free(2), 50)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="orient:2 at index 8"):
         oracle_count_classes(OrientableSurface(2), 8)
+    with pytest.raises(ResourceLimitError, match="nonorient:3 at index 6"):
+        oracle_orientable_split(3, 6)
+    # nonorient:2 at index 12 needs 380 nodes.
+    assert oracle_count_subgroups(NonOrientableSurface(2), 12) == 28
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_node_limit_is_exact(monkeypatch, case):
+    call, nodes, expected = BUDGET_CASES[case]
+    monkeypatch.setattr(oracle, "NODE_LIMIT", nodes)
+    _coset_search.cache_clear()
+    assert call() == expected
+    _coset_search.cache_clear()
+    monkeypatch.setattr(oracle, "NODE_LIMIT", nodes - 1)
     with pytest.raises(ResourceLimitError):
-        oracle_orientable_split(2, 13)
-    assert FEASIBILITY_LIMIT == 200_000_000
+        call()
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_over_budget_search_caches_nothing(monkeypatch, case):
+    call, nodes, expected = BUDGET_CASES[case]
+    _coset_search.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "NODE_LIMIT", nodes - 1)
+        with pytest.raises(ResourceLimitError):
+            call()
+    assert _coset_search.cache_info().currsize == 0
+    assert call() == expected
+
+
+def test_node_limit_applies_to_each_search_alone(monkeypatch):
+    # Two searches of 1961 and 1529 nodes both fit a limit of 1961.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 1961)
+    _coset_search.cache_clear()
+    assert oracle_count_subgroups(Free(2), 5) == 461
+    assert oracle_count_subgroups(NonOrientableSurface(3), 4) == 227
 
 
 def test_oracle_rejects_a_non_family_argument_before_the_gate():
-    for bad in (object(), "free:2", None):
+    for bad in (object(), "free:2", None, GroupKind()):
         with pytest.raises(TypeError, match="unsupported group kind"):
             oracle_count_subgroups(bad, 2)
         with pytest.raises(TypeError, match="unsupported group kind"):
