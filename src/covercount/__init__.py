@@ -17,10 +17,10 @@ from .census import (
     r_nu_closed,
     r_nu_recursive,
 )
-from .characters import Partition, beta, degree, hook_product, hook_spectrum, partitions
+from .characters import beta, hook_product, hook_spectrum, partitions
 from .classes import CensusRow, CensusTable, census_table, count_classes, count_classes_generic
 from .errors import ConsistencyError, ResourceLimitError
-from .numtheory import DivisorPair, divisor_pairs, divisors, euler_phi, gcd, mobius
+from .numtheory import divisors, euler_phi, mobius
 from .oracle import (
     kernel_backend,
     oracle_count_classes,
@@ -35,14 +35,12 @@ __all__ = [
     "CensusRow",
     "CensusTable",
     "ConsistencyError",
-    "DivisorPair",
     "FiberClass",
     "Free",
     "GroupKind",
     "HomologySignature",
     "NonOrientableSurface",
     "OrientableSurface",
-    "Partition",
     "ResourceLimitError",
     "beta",
     "census_table",
@@ -52,13 +50,10 @@ __all__ = [
     "count_orientable_subgroups",
     "count_subgroups",
     "covering_fiber",
-    "degree",
-    "divisor_pairs",
     "divisors",
     "epi_count",
     "euler_phi",
     "free_subgroups",
-    "gcd",
     "hom_count",
     "hook_product",
     "hook_spectrum",

@@ -8,9 +8,10 @@ follow by Mobius inversion over the divisors of the target order.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ConsistencyError, check_index
-from .numtheory import divisors, gcd, mobius
+from .numtheory import divisors, mobius
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Integer partitions, symmetric group character degrees, and beta sums.
+"""Integer partitions, their hook products, and beta sums.
 
-A partition of k labels an irreducible character of the symmetric group S_k;
-its degree is k! divided by the hook product, the product of the hook
-lengths of its Young diagram.  The quantity this package actually consumes
-is beta(k, nu), the sum over all partitions of k of (k! / degree)^nu, that
-is of (hook product)^nu, so it never divides at all.
+A partition of k is a weakly decreasing tuple of positive parts adding up to
+k.  It labels an irreducible character of the symmetric group S_k, whose
+degree is k! divided by the hook product, the product of the hook lengths of
+its Young diagram.  The quantity this package actually consumes is
+beta(k, nu), the sum over all partitions of k of (k! / degree)^nu, that is
+of (hook product)^nu, so it never divides at all.
 
 hook_product needs only the first-column hook lengths h_i = parts[i] +
 len(parts) - 1 - i:
@@ -20,41 +21,14 @@ partitions again.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 from .errors import ConsistencyError, check_index
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("a partition needs at least one part")
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
-        if self.parts[-1] < 1:
-            raise ValueError(f"parts must be positive, got {self.parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def conjugate(self) -> "Partition":
-        """The transposed Young diagram."""
-        parts = self.parts
-        return Partition(tuple(sum(1 for p in parts if p > j) for j in range(parts[0])))
-
-
-def partitions(k: int) -> list[Partition]:
-    """All partitions of k, in lexicographically decreasing order.
+def partitions(k: int) -> list[tuple[int, ...]]:
+    """All partitions of k, as tuples of parts, in lexicographically decreasing order.
 
     Starts with the single-row partition (k) and ends with the single-column
     partition (1, ..., 1).
@@ -65,7 +39,7 @@ def partitions(k: int) -> list[Partition]:
 
     def descend(remaining, cap):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for part in range(min(remaining, cap), 0, -1):
             prefix.append(part)
@@ -76,17 +50,26 @@ def partitions(k: int) -> list[Partition]:
     return out
 
 
-def hook_product(lam: Partition) -> int:
+def hook_product(parts) -> int:
     """Product of the hook lengths over all cells of the Young diagram.
 
-    This equals k! divided by the character degree, so it is always a
-    positive integer.  It is computed from the first-column hook lengths
-    (see the module docstring); the division must be exact, and a remainder
-    raises ConsistencyError.
+    parts is a partition: a nonempty, weakly decreasing sequence of positive
+    integers; anything else raises ValueError.  The product equals k!
+    divided by the character degree, so it is always a positive integer.
+    It is computed from the first-column hook lengths (see the module
+    docstring); the division must be exact, and a remainder raises
+    ConsistencyError.
     """
-    parts = lam.parts
     length = len(parts)
-    firsts = [part + length - 1 - i for i, part in enumerate(parts)]
+    if not length:
+        raise ValueError("a partition needs at least one part")
+    firsts = []
+    previous = parts[0]
+    for i, part in enumerate(parts):
+        if part > previous or part < 1:
+            raise ValueError(f"parts must be positive and weakly decreasing, got {tuple(parts)}")
+        firsts.append(part + length - 1 - i)
+        previous = part
     numerator = 1
     vandermonde = 1
     for i, h in enumerate(firsts):
@@ -95,16 +78,8 @@ def hook_product(lam: Partition) -> int:
             vandermonde *= h - lower
     product, rem = divmod(numerator, vandermonde)
     if rem:
-        raise ConsistencyError(f"first-column hook formula is not integral for {lam}")
+        raise ConsistencyError(f"first-column hook formula is not integral for {tuple(parts)}")
     return product
-
-
-def degree(lam: Partition) -> int:
-    """Degree of the irreducible S_k character labelled by lam (hook length formula)."""
-    deg, rem = divmod(factorial(lam.weight), hook_product(lam))
-    if rem:
-        raise ConsistencyError(f"hook product of {lam} does not divide {lam.weight}!")
-    return deg
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -116,7 +91,7 @@ def hook_spectrum(k: int) -> tuple[tuple[int, int], ...]:
     partitions of k.
     """
     check_index(k, "k")
-    return tuple(sorted(Counter(hook_product(lam) for lam in partitions(k)).items()))
+    return tuple(sorted(Counter(hook_product(parts) for parts in partitions(k)).items()))
 
 
 @lru_cache(maxsize=None, typed=True)

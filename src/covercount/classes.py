@@ -1,10 +1,11 @@
 """Conjugacy classes of finite-index subgroups, and census tables.
 
 The class count N(n) follows from the subgroup counts of the covering
-fibers: summing, over all factorisations n = ell * m, the number of
-epimorphisms from each index-m subgroup onto the cyclic group of order ell
-(weighted by multiplicity) yields exactly n * N(n).  Only the abelianisation
-of each subgroup enters, which is what covering_fiber provides.
+fibers: summing, over every divisor ell of n with m = n / ell, the number
+of epimorphisms from each index-m subgroup onto the cyclic group of order
+ell (weighted by multiplicity) yields exactly n * N(n).  Only the
+abelianisation of each subgroup enters, which is what covering_fiber
+provides.
 
 count_classes_generic is that driver, run against any fiber provider; it
 verifies that the accumulator is divisible by n before dividing, and a
@@ -25,7 +26,7 @@ from .census import (
     covering_fiber,
 )
 from .errors import ConsistencyError, check_index
-from .numtheory import divisor_pairs
+from .numtheory import divisors
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ def count_classes_generic(n, fiber_provider) -> int:
     """
     check_index(n)
     acc = 0
-    for ell, m in divisor_pairs(n):
-        for fiber in fiber_provider(m):
+    for ell in divisors(n):
+        for fiber in fiber_provider(n // ell):
             acc += fiber.multiplicity * epi_count(fiber.signature, ell)
     count, rem = divmod(acc, n)
     if rem:

@@ -4,13 +4,16 @@ Subcommands: count (one number for one group and index), table (a census
 over 1..max-index as CSV or JSON), verify (formula routes against the
 brute-force oracle), epi (epimorphism counts onto a cyclic group).  Results
 go to stdout, diagnostics to stderr.  Exit status is 0 on success, 1 when
-verify finds a mismatch, 2 on argument, domain or resource errors, 3 on an
-internal fault (a ConsistencyError: a cross-check inside the package failed).
+verify finds a mismatch, 2 on argument, domain or resource errors (running
+out of memory included), 3 on an internal fault: a ConsistencyError (a
+cross-check inside the package failed) or any other exception, whose
+traceback goes to stderr.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from . import oracle
 from .abelian import HomologySignature, epi_count
@@ -181,8 +184,14 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:
+        traceback.print_exc()
         return 3
     finally:
         if digit_limit is not None:

@@ -1,20 +1,11 @@
-"""Elementary arithmetic helpers: divisors, Mobius function, totient, gcd.
+"""Elementary arithmetic helpers: divisors, Mobius function, totient.
 
 Everything here works on plain Python integers and uses trial division,
 which is more than fast enough for the index ranges this package targets.
+The gcd is the standard library's math.gcd, called directly.
 """
 
-import math
-from typing import NamedTuple
-
 from .errors import check_index
-
-
-class DivisorPair(NamedTuple):
-    """A factorisation n = ell * m."""
-
-    ell: int
-    m: int
 
 
 def divisors(n: int) -> list[int]:
@@ -30,11 +21,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def divisor_pairs(n: int) -> list[DivisorPair]:
-    """All ordered factorisations n = ell * m, by ascending ell."""
-    return [DivisorPair(ell, n // ell) for ell in divisors(n)]
 
 
 def mobius(n: int) -> int:
@@ -68,12 +54,3 @@ def euler_phi(n: int) -> int:
     if n > 1:
         result -= result // n
     return result
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError(f"gcd expects nonnegative arguments, got ({a}, {b})")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)

@@ -24,12 +24,12 @@ is ever silently truncated or cached.
 
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from . import _pykernels
 from .abelian import HomologySignature
 from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
 from .errors import ConsistencyError, ResourceLimitError, check_index
-from .numtheory import gcd
 
 _kernels = _pykernels
 

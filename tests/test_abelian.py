@@ -1,9 +1,10 @@
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 
 from covercount.abelian import HomologySignature, epi_count, hom_count
-from covercount.numtheory import divisors, euler_phi, gcd, mobius
+from covercount.numtheory import divisors, euler_phi, mobius
 
 
 def _signature_grid():

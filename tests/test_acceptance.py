@@ -20,7 +20,7 @@ from covercount.census import (
     r_nu_closed,
     r_nu_recursive,
 )
-from covercount.characters import beta, degree, partitions
+from covercount.characters import beta, hook_product, partitions
 from covercount.classes import census_table, count_classes, count_classes_generic
 from covercount.numtheory import divisors
 from covercount.oracle import (
@@ -177,7 +177,10 @@ def test_criterion_8_structural_invariants():
 
 def test_criterion_9_character_degrees():
     for k in range(1, 13):
-        assert sum(degree(lam) ** 2 for lam in partitions(k)) == factorial(k)
+        # Each degree is k! over the hook product, which must divide it.
+        degrees = [divmod(factorial(k), hook_product(parts)) for parts in partitions(k)]
+        assert all(rem == 0 for _, rem in degrees)
+        assert sum(deg**2 for deg, _ in degrees) == factorial(k)
     for k in range(1, 21):
         assert beta(k, 0) == _partition_count(k)
     _report(9, "degree squares sum to k! for k <= 12, beta(k, 0) counts partitions for k <= 20")

@@ -6,14 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import covercount.characters as characters
-from covercount.characters import (
-    Partition,
-    beta,
-    degree,
-    hook_product,
-    hook_spectrum,
-    partitions,
-)
+from covercount.characters import beta, hook_product, hook_spectrum, partitions
 from covercount.errors import ConsistencyError
 
 EXPONENTS = (0, 1, 2, 3, 4, 6)
@@ -29,11 +22,24 @@ def _partition_count(k):
     return table[k]
 
 
-def _cell_hook_product(lam):
+def _conjugate(parts):
+    # Reference: the transposed Young diagram.
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+
+
+def _degree(parts):
+    # Reference: the degree of the S_k character labelled by parts, by the
+    # hook length formula k! / hook product; the division must be exact.
+    deg, rem = divmod(factorial(sum(parts)), hook_product(parts))
+    if rem:
+        raise ConsistencyError(f"hook product of {parts} does not divide {sum(parts)}!")
+    return deg
+
+
+def _cell_hook_product(parts):
     # Reference: the hook length of every cell of the Young diagram, read
     # off the conjugate, multiplied one cell at a time.
-    parts = lam.parts
-    conj = lam.conjugate().parts
+    conj = _conjugate(parts)
     prod = 1
     for i, row in enumerate(parts):
         for j in range(row):
@@ -41,30 +47,22 @@ def _cell_hook_product(lam):
     return prod
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(())
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    with pytest.raises(ValueError):
-        Partition((3, -1))
-    assert Partition([3, 1]).parts == (3, 1)
-
-
-def test_partition_weight():
-    assert Partition((3, 1)).weight == 4
-    assert Partition((1,)).weight == 1
+def test_hook_product_input_check():
+    for bad in ((), (1, 2), (2, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            hook_product(bad)
+    # A list is a sequence of parts too: hooks 4, 2, 1 and 1, degree 4!/8.
+    assert hook_product([3, 1]) == 8
+    assert _degree([3, 1]) == 3
 
 
 def test_partition_conjugate():
-    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
-    assert Partition((2, 2)).conjugate() == Partition((2, 2))
+    assert _conjugate((3, 1)) == (2, 1, 1)
+    assert _conjugate((2, 2)) == (2, 2)
     for k in range(1, 9):
-        for lam in partitions(k):
-            assert lam.conjugate().conjugate() == lam
-            assert lam.conjugate().weight == k
+        for parts in partitions(k):
+            assert _conjugate(_conjugate(parts)) == parts
+            assert sum(_conjugate(parts)) == k
 
 
 def test_partitions_rejects_zero():
@@ -73,7 +71,7 @@ def test_partitions_rejects_zero():
 
 
 def test_partitions_of_four_in_order():
-    assert [lam.parts for lam in partitions(4)] == [
+    assert partitions(4) == [
         (4,),
         (3, 1),
         (2, 2),
@@ -84,7 +82,7 @@ def test_partitions_of_four_in_order():
 
 def test_partitions_lexicographically_decreasing():
     for k in range(1, 12):
-        parts = [lam.parts for lam in partitions(k)]
+        parts = partitions(k)
         assert parts == sorted(parts, reverse=True)
         assert len(set(parts)) == len(parts)
         assert all(sum(p) == k for p in parts)
@@ -97,29 +95,29 @@ def test_partitions_count_matches_recurrence():
 
 
 def test_degree_examples():
-    assert degree(Partition((2, 1))) == 2
-    assert degree(Partition((3, 1))) == 3
-    assert degree(Partition((2, 2))) == 2
+    assert _degree((2, 1)) == 2
+    assert _degree((3, 1)) == 3
+    assert _degree((2, 2)) == 2
     for k in range(1, 9):
-        assert degree(Partition((k,))) == 1
-        assert degree(Partition((1,) * k)) == 1
+        assert _degree((k,)) == 1
+        assert _degree((1,) * k) == 1
 
 
 def test_degree_conjugation_invariant():
     for k in range(1, 10):
-        for lam in partitions(k):
-            assert degree(lam) == degree(lam.conjugate())
+        for parts in partitions(k):
+            assert _degree(parts) == _degree(_conjugate(parts))
 
 
 def test_hook_product_times_degree_is_factorial():
     for k in range(1, 11):
-        for lam in partitions(k):
-            assert hook_product(lam) * degree(lam) == factorial(k)
+        for parts in partitions(k):
+            assert hook_product(parts) * _degree(parts) == factorial(k)
 
 
 def test_degree_squares_sum_to_factorial():
     for k in range(1, 11):
-        assert sum(degree(lam) ** 2 for lam in partitions(k)) == factorial(k)
+        assert sum(_degree(parts) ** 2 for parts in partitions(k)) == factorial(k)
 
 
 def test_beta_examples():
@@ -148,10 +146,11 @@ def test_beta_memoized_and_fresh_agree():
 
 
 def test_degree_raises_when_hook_product_does_not_divide(monkeypatch):
-    # 5 does not divide 4!, so the guard must fire, also under python -O.
-    monkeypatch.setattr(characters, "hook_product", lambda lam: 5)
+    # 5 does not divide 4!, so the reference's guard must fire, also under
+    # python -O, rather than floor a wrong hook product into a degree.
+    monkeypatch.setitem(globals(), "hook_product", lambda parts: 5)
     with pytest.raises(ConsistencyError):
-        degree(Partition((3, 1)))
+        _degree((3, 1))
 
 
 def test_hook_product_raises_when_formula_is_not_integral(monkeypatch):
@@ -159,13 +158,13 @@ def test_hook_product_raises_when_formula_is_not_integral(monkeypatch):
     # Vandermonde product of (3, 1)'s first-column hooks (4, 1) does not divide.
     monkeypatch.setattr(characters, "factorial", lambda n: 1)
     with pytest.raises(ConsistencyError):
-        hook_product(Partition((3, 1)))
+        hook_product((3, 1))
 
 
 def test_hook_product_and_spectrum_match_cell_reference():
     for k in range(1, 15):
-        cells = [_cell_hook_product(lam) for lam in partitions(k)]
-        assert [hook_product(lam) for lam in partitions(k)] == cells
+        cells = [_cell_hook_product(parts) for parts in partitions(k)]
+        assert [hook_product(parts) for parts in partitions(k)] == cells
         assert hook_spectrum(k) == tuple(sorted(Counter(cells).items()))
 
 
@@ -179,7 +178,7 @@ def test_hook_spectrum_counts_partitions_and_degree_squares():
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=8))
 def test_beta_matches_cell_reference_sum(k, nu):
-    assert beta(k, nu) == sum(_cell_hook_product(lam) ** nu for lam in partitions(k))
+    assert beta(k, nu) == sum(_cell_hook_product(parts) ** nu for parts in partitions(k))
 
 
 def test_beta_builds_each_spectrum_once():

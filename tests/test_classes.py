@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from covercount.abelian import HomologySignature
@@ -16,7 +18,7 @@ from covercount.classes import (
     count_classes_generic,
 )
 from covercount.errors import ConsistencyError
-from covercount.numtheory import divisor_pairs, divisors, gcd, mobius
+from covercount.numtheory import divisors, mobius
 
 KINDS = [
     Free(1),
@@ -33,11 +35,11 @@ KINDS = [
 
 def _inline_count_classes(kind, n):
     # The driver with the Mobius inversion inlined as a gcd-weighted power
-    # sum: for each factorisation n = ell * m and each fiber class, the
+    # sum: for each divisor ell of n with m = n / ell and each fiber class, the
     # epimorphism count is sum_{d | ell} mobius(ell/d) * gcd(t_1, d) * ... * d^rank.
     acc = 0
-    for ell, m in divisor_pairs(n):
-        for fiber in covering_fiber(kind, m):
+    for ell in divisors(n):
+        for fiber in covering_fiber(kind, n // ell):
             signature = fiber.signature
             epi = 0
             for d in divisors(ell):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from covercount import oracle
+from covercount import cli, oracle
 from covercount.census import Free, NonOrientableSurface, OrientableSurface
 from covercount.cli import main, parse_group_spec
 from covercount.errors import ConsistencyError
@@ -171,6 +171,32 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: cross-check failed\n"
+
+
+@pytest.mark.parametrize(
+    "exc, status, message",
+    [
+        (MemoryError(), 2, "error: out of memory"),
+        (RuntimeError("lost a branch"), 3, "RuntimeError: lost a branch"),
+        (TypeError("not a kind"), 3, "TypeError: not a kind"),
+    ],
+    ids=["MemoryError", "RuntimeError", "TypeError"],
+)
+def test_unexpected_exceptions_have_their_own_status(
+    capsys, monkeypatch, default_digit_limit, exc, status, message
+):
+    # Exit 1 stays reserved for a failed verify; any other exception that
+    # escapes a subcommand is an internal fault and leaves its traceback.
+    def broken(kind, n):
+        raise exc
+
+    monkeypatch.setattr(cli, "count_subgroups", broken)
+    sys.set_int_max_str_digits(5000)
+    code, out, err = run_cli(capsys, "count", "--group", "free:2", "--index", "3")
+    assert (code, out) == (status, "")
+    assert err.splitlines()[-1] == message
+    assert err.startswith("Traceback (most recent call last):") == (status == 3)
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_verify_infeasible_request(capsys, monkeypatch):

@@ -25,7 +25,7 @@ from covercount.census import (
 from covercount.characters import beta, hook_spectrum, partitions
 from covercount.classes import count_classes_generic
 from covercount.errors import check_index
-from covercount.numtheory import divisor_pairs, divisors, euler_phi, mobius
+from covercount.numtheory import divisors, euler_phi, mobius
 from covercount.oracle import oracle_epi_count
 
 CACHED = (free_subgroups, r_nu_recursive, beta, hook_spectrum)
@@ -43,7 +43,6 @@ INDEXED = {
         n, lambda m: covering_fiber(Free(2), m)
     ),
     "divisors": divisors,
-    "divisor_pairs": divisor_pairs,
     "mobius": mobius,
     "euler_phi": euler_phi,
     "hom_count": lambda d: hom_count(HomologySignature(rank=1), d),
@@ -103,7 +102,6 @@ def test_check_index_accepts_positive_ints_only():
 
 ORDERS = (
     "divisors",
-    "divisor_pairs",
     "mobius",
     "euler_phi",
     "hom_count",

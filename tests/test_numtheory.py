@@ -1,6 +1,6 @@
 import pytest
 
-from covercount.numtheory import DivisorPair, divisor_pairs, divisors, euler_phi, gcd, mobius
+from covercount.numtheory import divisors, euler_phi, mobius
 
 
 def test_divisors_examples():
@@ -22,25 +22,6 @@ def test_divisors_rejects_nonpositive():
         divisors(0)
     with pytest.raises(ValueError):
         divisors(-6)
-
-
-def test_divisor_pairs_examples():
-    assert divisor_pairs(6) == [(1, 6), (2, 3), (3, 2), (6, 1)]
-    assert divisor_pairs(4) == [(1, 4), (2, 2), (4, 1)]
-    assert divisor_pairs(1) == [(1, 1)]
-    pair = divisor_pairs(6)[1]
-    assert isinstance(pair, DivisorPair)
-    assert pair.ell == 2 and pair.m == 3
-
-
-def test_divisor_pairs_products_and_order():
-    for n in range(1, 200):
-        pairs = divisor_pairs(n)
-        assert all(ell * m == n for ell, m in pairs)
-        ells = [ell for ell, _ in pairs]
-        assert ells == sorted(ells)
-        assert len(set(ells)) == len(ells)
-        assert ells == divisors(n)
 
 
 def test_mobius_examples():
@@ -75,34 +56,3 @@ def test_euler_phi_divisor_sum_is_n():
     for n in range(1, 1001):
         assert sum(euler_phi(d) for d in divisors(n)) == n
 
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(2, 4) == 2
-    assert gcd(6, 9) == 3
-    assert gcd(1, 1) == 1
-    assert gcd(0, 5) == 5
-    assert gcd(5, 0) == 5
-    assert gcd(7, 13) == 1
-    for k in range(1, 12):
-        assert gcd(1, k) == 1
-
-
-def test_gcd_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
-    with pytest.raises(ValueError):
-        gcd(-4, 6)
-    with pytest.raises(ValueError):
-        gcd(4, -6)
-
-
-def test_gcd_symmetry_and_divisibility():
-    for a in range(0, 40):
-        for b in range(0, 40):
-            if a == 0 and b == 0:
-                continue
-            g = gcd(a, b)
-            assert g == gcd(b, a)
-            assert g >= 1
-            assert (a % g == 0) and (b % g == 0)
