@@ -47,13 +47,35 @@ def _cell_hook_product(parts):
     return prod
 
 
-def test_hook_product_input_check():
-    for bad in ((), (1, 2), (2, 0), (3, -1)):
-        with pytest.raises(ValueError):
-            hook_product(bad)
+@pytest.mark.parametrize(
+    "bad",
+    [(), (1, 2), (2, 0), (3, -1)],
+    ids=["empty", "increasing", "zero-part", "negative-part"],
+)
+def test_hook_product_input_check(bad):
+    with pytest.raises(ValueError):
+        hook_product(bad)
+
+
+def test_hook_product_takes_any_sequence_of_parts():
     # A list is a sequence of parts too: hooks 4, 2, 1 and 1, degree 4!/8.
     assert hook_product([3, 1]) == 8
     assert _degree([3, 1]) == 3
+    assert hook_product(range(3, 0, -2)) == hook_product((3, 1))
+
+
+def test_hook_product_is_uncached():
+    # Every call recomputes, so a call count is a count of partitions seen.
+    assert not hasattr(hook_product, "cache_info")
+
+
+def test_partitions_returns_a_fresh_list_of_int_tuples():
+    first = partitions(6)
+    assert type(first) is list
+    assert all(type(parts) is tuple for parts in first)
+    assert all(type(part) is int for parts in first for part in parts)
+    first.clear()
+    assert len(partitions(6)) == _partition_count(6)
 
 
 def test_partition_conjugate():

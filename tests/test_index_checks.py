@@ -1,7 +1,8 @@
 """Every function that takes a subgroup index, a partition size or the
 order of a cyclic group refuses bool and non-int values with TypeError,
 also once the int is cached, and so does every one that takes an exponent,
-a rank or a genus.
+a rank or a genus.  Each of the first kind refuses an int below one with
+ValueError.
 
 True == 1 and 2.0 == 2 hash alike, so an lru_cache without typed=True would
 answer beta(True, 2) from the entry of beta(1, 2) without running the check.
@@ -100,17 +101,7 @@ def test_check_index_accepts_positive_ints_only():
         check_index(0, "k")
 
 
-ORDERS = (
-    "divisors",
-    "mobius",
-    "euler_phi",
-    "hom_count",
-    "epi_count",
-    "oracle_epi_count",
-)
-
-
-@pytest.mark.parametrize("name", ORDERS)
+@pytest.mark.parametrize("name", sorted(INDEXED))
 @pytest.mark.parametrize("bad", [0, -1])
 def test_orders_below_one_raise_value_error(name, bad):
     with pytest.raises(ValueError):
