@@ -5,9 +5,10 @@ Each run is a fresh interpreter that imports covercount from this
 checkout's src/ (the import is not timed) and then computes beta(k, nu) for
 every nu in NUS and every k up to the bound, with the package's caches
 empty, as a table over several surface genera does.  The report gives the
-median and quartiles of the runs for each bound, and a sha256 of the
-computed values; every run must give the same digest, so a change that
-alters a value cannot pass as a speed-up.  Stdlib only.
+median and quartiles of the runs for each bound, the largest peak RSS
+(ru_maxrss) of any run, and a sha256 of the computed values; every run must
+give the same digest, so a change that alters a value cannot pass as a
+speed-up.  Stdlib only.
 
     python3 benchmarks/bench_characters.py [--repeats 5]
 """
@@ -26,14 +27,15 @@ NUS = (0, 1, 2, 3, 4, 6)
 BOUNDS = (28, 40)
 
 CHILD = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 from covercount.characters import beta
 nus, bound = json.loads(sys.argv[1]), int(sys.argv[2])
 start = time.perf_counter()
 values = [beta(k, nu) for nu in nus for k in range(1, bound + 1)]
 seconds = time.perf_counter() - start
 digest = hashlib.sha256(repr(values).encode()).hexdigest()
-print(json.dumps({"seconds": seconds, "sha256": digest}))
+rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "sha256": digest, "rss_mib": rss_mib}))
 """
 
 
@@ -47,7 +49,7 @@ def run_once(bound):
         text=True,
     ).stdout
     result = json.loads(out)
-    return result["seconds"], result["sha256"]
+    return result["seconds"], result["sha256"], result["rss_mib"]
 
 
 def main():
@@ -59,11 +61,12 @@ def main():
 
     print(f"cold beta(k, nu) for nu in {NUS}, {options.repeats} fresh processes per bound")
     for bound in BOUNDS:
-        times, digests = [], set()
+        times, digests, rss = [], set(), []
         for _ in range(options.repeats):
-            seconds, digest = run_once(bound)
+            seconds, digest, rss_mib = run_once(bound)
             times.append(seconds)
             digests.add(digest)
+            rss.append(rss_mib)
         if len(digests) != 1:
             raise SystemExit(f"k <= {bound}: runs disagree, digests {sorted(digests)}")
         if len(times) > 1:
@@ -73,7 +76,7 @@ def main():
             spread = ""
         print(
             f"k <= {bound}: median {statistics.median(times):.4f} s{spread}"
-            f"  sha256 {digests.pop()}"
+            f"  max RSS {max(rss):.1f} MiB  sha256 {digests.pop()}"
         )
 
 

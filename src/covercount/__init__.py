@@ -21,15 +21,28 @@ from .characters import beta, hook_product, hook_spectrum, partitions
 from .classes import CensusRow, CensusTable, census_table, count_classes, count_classes_generic
 from .errors import ConsistencyError, ResourceLimitError
 from .numtheory import divisors, euler_phi, mobius
-from .oracle import (
-    kernel_backend,
-    oracle_count_classes,
-    oracle_count_subgroups,
-    oracle_epi_count,
-    oracle_orientable_split,
-)
 
 __version__ = "0.1.0"
+
+# The oracle is loaded on first use, so count and table never import it.
+_ORACLE_NAMES = frozenset(
+    {
+        "kernel_backend",
+        "oracle_count_classes",
+        "oracle_count_subgroups",
+        "oracle_epi_count",
+        "oracle_orientable_split",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CensusRow",

@@ -15,7 +15,6 @@ import json
 import sys
 import traceback
 
-from . import oracle
 from .abelian import HomologySignature, epi_count
 from .census import (
     FAMILIES,
@@ -95,6 +94,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
     # The largest search first: it is cached for the loop below, and one

@@ -1,6 +1,12 @@
 """The package's public names: covercount.__all__ is sorted, has no
 duplicates and names only what the package defines, so a stale export
-fails here rather than at a user's import."""
+fails here rather than at a user's import.  The oracle is loaded only when
+one of its names is first used."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import covercount
 from covercount import characters, numtheory
@@ -27,3 +33,45 @@ def test_removed_names_are_gone():
         assert name not in covercount.__all__
         assert not hasattr(covercount, name)
         assert not hasattr(module, name)
+
+
+ORACLE_NAMES = (
+    "kernel_backend",
+    "oracle_count_classes",
+    "oracle_count_subgroups",
+    "oracle_epi_count",
+    "oracle_orientable_split",
+)
+
+# Run in a fresh interpreter: imports covercount, runs count and table, and
+# prints whether the oracle or its kernels were loaded before and after
+# the first use of an oracle name.
+LAZY_PROBE = """
+import sys
+import covercount
+from covercount.cli import main
+main(["count", "--group", "orient:2", "--index", "4"])
+main(["table", "--group", "nonorient:3", "--max-index", "3"])
+loaded = lambda: sorted(m for m in ("covercount.oracle", "covercount._pykernels") if m in sys.modules)
+print(loaded())
+assert covercount.oracle_count_subgroups(covercount.Free(2), 3) == 13
+print(loaded())
+"""
+
+
+def test_import_count_and_table_leave_the_oracle_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(covercount.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    lines = result.stdout.splitlines()
+    assert lines[-2:] == ["[]", "['covercount._pykernels', 'covercount.oracle']"]
+
+
+def test_oracle_names_resolve_to_the_oracle_module():
+    from covercount import oracle
+
+    assert set(ORACLE_NAMES) <= set(covercount.__all__)
+    for name in ORACLE_NAMES:
+        assert getattr(covercount, name) is getattr(oracle, name)
+    assert not hasattr(covercount, "no_such_name")
