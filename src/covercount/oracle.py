@@ -5,16 +5,22 @@ action on n points that satisfies the defining relation.  The counters
 oracle_count_subgroups, oracle_count_classes and oracle_orientable_split
 enumerate those actions as standard coset tables (the low-index subgroups
 search, Sims, Computation with Finitely Presented Groups, ch. 5): a
-backtracking search that reaches every index-n subgroup exactly once and
-prunes partial tables whose relator traces fail to close.  The number of
-leaves is M, the leaves that are least among their re-standardisations from
-each base point number N, and for the squares relation a parity check on
-each leaf splits M into orientable and non-orientable stabilisers.  One
-search per (relation, generators, index) serves all three counters.
+backtracking search that prunes partial tables whose relator traces fail
+to close, and partial tables that can no longer be the least of their
+re-standardisations from each base point.  It keeps a live list of the
+base points that might still tie with or undercut the table and reaches
+exactly one leaf per conjugacy class, so the leaves number N.  A leaf H
+stands for n / [N(H):H] conjugate subgroups, [N(H):H] being the number of
+base points whose re-standardisation equals the table, so M is the sum of
+n / [N(H):H] over the leaves; for the squares relation a parity check on
+each leaf's stabiliser splits M into orientable and non-orientable
+subgroups.  One search per (relation, generators, index) serves all three
+counters.
 
 The tuple kernels in _pykernels walk every tuple of generator images in
 the symmetric group instead.  They are the reference the search is tested
-against at small n.
+against at small n, with tests/full_leaf_search.py, the same search
+without the least-table pruning, which counts M leaf by leaf.
 
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  A search that visits more than NODE_LIMIT
@@ -34,9 +40,10 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  At 3-8 us a node (CPython 3.11) this stops a search after about 10-20 s: it admits
-# free:2 n=8 (1.1M nodes) and orient:2 n=5 (2.0M), not free:3 n=6 (15M).
-NODE_LIMIT = 2_500_000
+# visit.  At 7-10 us a node (CPython 3.11) this stops a search after about
+# 15-20 s: it admits free:2 n=9 (1.76M nodes) and orient:2 n=5 (0.62M), not
+# free:3 n=6 (3.3M) or orient:3 n=4 (19M).
+NODE_LIMIT = 2_000_000
 
 # Epimorphism brute force stays pure Python; its bounds keep it tiny.
 EPI_MAX_GENERATORS = 6
@@ -90,19 +97,28 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     cosets whose columns are permutations satisfying the relator, the
     subgroup being the stabiliser of coset 0.  The search fills entries in
     that reading order, giving each one an existing coset not yet in its
-    column's image or else the next unused coset, so every such table is
-    reached exactly once.
+    column's image or else the next unused coset.
 
     After each entry is defined, the relator is traced through the new
     edge for every place its generator occurs in the relator.  A trace of
     full length that does not close prunes the branch; one that lacks a
     single edge forces that edge (a deduction, processed the same way).
 
-    A leaf counts towards N when its table is the least of its n
-    re-standardisations from each base point, one leaf per conjugacy class,
-    and towards M+ when its point stabiliser is orientable (squares
-    relation only).  Every leaf is re-checked with the tuple kernels'
-    relation and transitivity tests.
+    Re-standardising a table from base point b gives the standard table of
+    b's stabiliser, so the tables of one conjugacy class are the
+    re-standardisations of any one of them.  The search keeps only tables
+    that can still be the least of theirs: after each define it compares
+    the table with its re-standardisation from every live base (_compare)
+    and prunes the branch when one is already smaller.  A base whose
+    re-standardisation is already larger stays larger in every completion
+    and leaves the live list handed down; each coset a define opens joins
+    it.  So the search reaches exactly one leaf per conjugacy class.  At a
+    leaf the bases whose re-standardisation equals the table number
+    [N(H):H], and the class holds n / [N(H):H] subgroups: that adds to M,
+    one to N, and to M+ when the stabiliser is orientable (squares relation
+    only; orientability is shared by conjugates, since the orientation
+    character's kernel is normal).  Every leaf is re-checked with the tuple
+    kernels' relation and transitivity tests and against every base.
 
     Each entry to descend is one node.  The search raises ResourceLimitError
     once it has visited more than NODE_LIMIT nodes, read when it starts; the
@@ -179,13 +195,20 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             images, n
         ):
             raise ConsistencyError(f"coset search produced a bad table {images}")
-        totals[0] += 1
-        if _least_standard(fwd, n):
-            totals[1] += 1
+        orders = [_compare(fwd, n, base) for base in range(n)]
+        if orders[0] != 0 or -1 in orders or None in orders:
+            raise ConsistencyError(f"coset search reached a table that is not the least {images}")
+        # The bases whose stabiliser is H itself: [N(H):H] of them.
+        fixed = orders.count(0)
+        conjugates, rest = divmod(n, fixed)
+        if rest:
+            raise ConsistencyError(f"coset search found [N(H):H] = {fixed} does not divide {n}")
+        totals[0] += conjugates
+        totals[1] += 1
         if rel == _pykernels.REL_SQUARES and _pykernels.stabilizer_orientable(images, n):
-            totals[2] += 1
+            totals[2] += conjugates
 
-    def descend(x, g, count):
+    def descend(x, g, count, live):
         nonlocal nodes
         nodes += 1
         if nodes > limit:
@@ -208,39 +231,57 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
         for y in range(count + (count < n)):
             if image[y] < 0:
                 if define(x, g, y):
-                    descend(x, g + 1, max(count, y + 1))
+                    # Prune when a base undercuts the table; a new coset
+                    # y joins the bases, one already larger drops out.
+                    kept = []
+                    for base in live + [y] if y == count else live:
+                        order = _compare(fwd, n, base)
+                        if order == -1:
+                            break
+                        if order != 1:
+                            kept.append(base)
+                    else:
+                        descend(x, g + 1, max(count, y + 1), kept)
                 undo(mark)
 
-    descend(0, 0, 1)
+    descend(0, 0, 1, [])
     subgroups, classes, orientable = totals
     if not classes <= subgroups <= n * classes:
         raise ConsistencyError(f"coset search gave M={subgroups}, N={classes} at index {n}")
     return subgroups, classes, orientable
 
 
-def _least_standard(fwd: list[list[int]], n: int) -> bool:
-    """Whether the standard table fwd is the least of its re-standardisations.
+def _compare(fwd: list[list[int]], n: int, base: int) -> int | None:
+    """How the table fwd compares with its re-standardisation from base.
 
-    Renumbering cosets by first appearance from base point b gives the
-    standard table of b's stabiliser; those tables, one per b, are the
-    standard tables of one conjugacy class of subgroups.
+    Renumbering cosets by first appearance from base, reading entries by
+    coset then generator, gives the standard table of base's stabiliser.
+    Compared with fwd slot by slot in that order: -1 or 1 at the first
+    slot where both are defined and differ (-1 when the re-standardisation
+    is smaller), None when an undefined entry comes first, 0 when the
+    complete tables are equal.  A partial table's -1 or 1 holds for every
+    completion of it, since only defined entries were read.
     """
-    gens = len(fwd)
-    for base in range(1, n):
-        new = [-1] * n
-        new[base] = 0
-        old = [base]
-        for slot in range(n * gens):
-            row, g = divmod(slot, gens)
-            y = fwd[g][old[row]]
-            if new[y] < 0:
-                new[y] = len(old)
+    new = [-1] * n
+    new[base] = 0
+    old = [base]
+    for row in range(n):
+        if row == len(old):
+            # The cosets reached so far are closed: not a complete table.
+            return None
+        source = old[row]
+        for column in fwd:
+            entry = column[row]
+            y = column[source]
+            if entry < 0 or y < 0:
+                return None
+            renamed = new[y]
+            if renamed < 0:
+                renamed = new[y] = len(old)
                 old.append(y)
-            if new[y] != fwd[g][row]:
-                if new[y] < fwd[g][row]:
-                    return False
-                break
-    return True
+            if renamed != entry:
+                return -1 if renamed < entry else 1
+    return 0
 
 
 def _search(kind: GroupKind, n: int) -> tuple[int, int, int]:

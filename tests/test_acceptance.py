@@ -8,6 +8,7 @@ import time
 from itertools import combinations_with_replacement
 from math import factorial
 
+from covercount import oracle
 from covercount.abelian import HomologySignature, epi_count, hom_count
 from covercount.census import (
     Free,
@@ -79,20 +80,26 @@ def test_criterion_3_torus_counts_are_divisor_sums():
     _report(3, "orient:1 M(n) = N(n) = sigma(n) for n <= 20, closed form and class route")
 
 
-def test_criterion_4_genus_two_surface():
+def test_criterion_4_genus_two_surface(monkeypatch):
     start = time.perf_counter()
+    # The least-table pruning keeps the index-5 search within 700,000 nodes
+    # (it visits 624,699; the full-leaf reference in the tests, 1,974,904).
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 700_000)
+    oracle._coset_search.cache_clear()
     genus2 = OrientableSurface(2)
     assert count_subgroups(genus2, 2) == 15
     assert count_classes(genus2, 2) == 15
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         assert oracle_count_subgroups(genus2, n) == count_subgroups(genus2, n)
         assert oracle_count_classes(genus2, n) == count_classes(genus2, n)
+    assert oracle_count_subgroups(genus2, 5) == 151086
+    assert oracle_count_classes(genus2, 5) == 30342
     provider = lambda m: covering_fiber(genus2, m)
     for n in range(1, 11):
         assert count_classes(genus2, n) == count_classes_generic(n, provider)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 4, generic driver n <= 10 ({elapsed:.2f}s)")
+    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 5, generic driver n <= 10 ({elapsed:.2f}s)")
 
 
 def test_criterion_5_nonorientable_surfaces():
@@ -186,8 +193,12 @@ def test_criterion_9_character_degrees():
     _report(9, "degree squares sum to k! for k <= 12, beta(k, 0) counts partitions for k <= 20")
 
 
-def test_criterion_10_free_rank_two_oracle_at_index_eight():
+def test_criterion_10_free_rank_two_oracle_at_index_eight(monkeypatch):
     start = time.perf_counter()
+    # Within 250,000 nodes (it visits 198,904; the full-leaf reference in the
+    # tests, 1,122,878).
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 250_000)
+    oracle._coset_search.cache_clear()
     assert oracle_count_subgroups(Free(2), 8) == count_subgroups(Free(2), 8) == 273343
     assert oracle_count_classes(Free(2), 8) == count_classes(Free(2), 8) == 34470
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
+import importlib.util
 from itertools import combinations_with_replacement
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from covercount.census import (
 from covercount.classes import count_classes
 from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
+    _compare,
     _coset_search,
     _relation_code,
     kernel_backend,
@@ -35,6 +38,25 @@ SMALL_GRID = [
     (NonOrientableSurface(2), 5),
     (NonOrientableSurface(3), 4),
 ]
+
+# Where the search is compared with the full-leaf reference: SMALL_GRID and
+# the ranges tier-1 checks against the formulas, except free:2 n=8 and
+# orient:2 n=5, which take the reference about 5 s and 13 s.
+REFERENCE_GRID = SMALL_GRID + [
+    (Free(2), 7),
+    (NonOrientableSurface(3), 6),
+    (NonOrientableSurface(2), 12),
+]
+
+REFERENCE = Path(__file__).resolve().parent / "full_leaf_search.py"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    spec = importlib.util.spec_from_file_location("full_leaf_search", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_kernel_backend_reports_a_known_name():
@@ -79,16 +101,51 @@ def test_coset_search_matches_tuple_brute_force():
                 assert orientable == 0, (kind, n)
 
 
+def test_coset_search_matches_full_leaf_reference(reference):
+    for kind, n_max in REFERENCE_GRID:
+        rel, gens = _relation_code(kind), kind.generator_count
+        for n in range(1, n_max + 1):
+            expected = reference.full_leaf_search(rel, gens, n)
+            assert _coset_search(rel, gens, n) == expected, (kind, n)
+
+
+def test_compare_reads_only_defined_entries():
+    # a = (0)(1 2), b = (0 1 2): a standard table, least of its class, with
+    # [N(H):H] = 1.  From base 2 its re-standardisation a = (0 1), b = (0 1 2)
+    # is smaller than it, which five defined slots already show.
+    least = [[0, 2, 1], [1, 2, 0]]
+    other = [[1, 0, 2], [1, 2, 0]]
+    assert [_compare(least, 3, base) for base in range(3)] == [0, 1, 1]
+    assert [_compare(other, 3, base) for base in range(3)] == [0, 1, -1]
+    assert _compare([[1, 0, 2], [1, 2, -1]], 3, 2) == -1
+    assert _compare([[0, 2, -1], [1, -1, -1]], 3, 1) == 1
+    assert _compare([[0, -1, -1], [1, -1, -1]], 3, 1) is None
+    # Z/2 = F1 / <a^2>: both bases fix the subgroup, [N(H):H] = 2.
+    assert [_compare([[1, 0]], 2, base) for base in range(2)] == [0, 0]
+
+
 def test_coset_search_rechecks_its_results(monkeypatch):
     _coset_search.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(_pykernels, "satisfies_relation", lambda rel, images, n: False)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="bad table"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
-    # No leaf kept for N breaks N <= M <= n * N.
-    monkeypatch.setattr(oracle, "_least_standard", lambda fwd, n: False)
-    with pytest.raises(ConsistencyError):
+    real = oracle._compare
+    # The search never compares against base 0, so only the leaf sees this.
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_compare", lambda fwd, n, base: -1 if base == 0 else real(fwd, n, base))
+        with pytest.raises(ConsistencyError, match="not the least"):
+            _coset_search(_pykernels.REL_FREE, 2, 3)
+
+    # Base 1 counted as fixing a non-normal subgroup: [N(H):H] = 2 at n = 3.
+    def fixes_base_one(fwd, n, base):
+        order = real(fwd, n, base)
+        return 0 if base == 1 and order == 1 else order
+
+    monkeypatch.setattr(oracle, "_compare", fixes_base_one)
+    with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = 2 does not divide 3"):
         _coset_search(_pykernels.REL_FREE, 2, 3)
+    assert _coset_search.cache_info().currsize == 0
 
 
 def test_oracle_split_at_index_one():
@@ -128,9 +185,9 @@ def test_oracle_epi_count_bounds():
 # One call per counter and relation: the descend entries of its coset
 # search, and its result.
 BUDGET_CASES = {
-    "free:2 n=5 subgroups": (lambda: oracle_count_subgroups(Free(2), 5), 1961, 461),
-    "orient:2 n=3 classes": (lambda: oracle_count_classes(OrientableSurface(2), 3), 1465, 100),
-    "nonorient:3 n=4 split": (lambda: oracle_orientable_split(3, 4), 1529, (15, 212)),
+    "free:2 n=5 subgroups": (lambda: oracle_count_subgroups(Free(2), 5), 710, 461),
+    "orient:2 n=3 classes": (lambda: oracle_count_classes(OrientableSurface(2), 3), 983, 100),
+    "nonorient:3 n=4 split": (lambda: oracle_orientable_split(3, 4), 792, (15, 212)),
 }
 
 
@@ -145,7 +202,7 @@ def test_feasibility_gate(monkeypatch):
         oracle_count_classes(OrientableSurface(2), 8)
     with pytest.raises(ResourceLimitError, match="nonorient:3 at index 6"):
         oracle_orientable_split(3, 6)
-    # nonorient:2 at index 12 needs 380 nodes.
+    # nonorient:2 at index 12 needs 220 nodes.
     assert oracle_count_subgroups(NonOrientableSurface(2), 12) == 28
 
 
@@ -174,8 +231,8 @@ def test_over_budget_search_caches_nothing(monkeypatch, case):
 
 
 def test_node_limit_applies_to_each_search_alone(monkeypatch):
-    # Two searches of 1961 and 1529 nodes both fit a limit of 1961.
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 1961)
+    # Two searches of 710 and 792 nodes both fit a limit of 792.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 792)
     _coset_search.cache_clear()
     assert oracle_count_subgroups(Free(2), 5) == 461
     assert oracle_count_subgroups(NonOrientableSurface(3), 4) == 227
