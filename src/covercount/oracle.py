@@ -197,7 +197,9 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             raise ConsistencyError(f"coset search produced a bad table {images}")
         orders = [_compare(fwd, n, base) for base in range(n)]
         if orders[0] != 0 or -1 in orders or None in orders:
-            raise ConsistencyError(f"coset search reached a table that is not the least {images}")
+            raise ConsistencyError(
+                f"coset search reached a table that is not the least standard table {images}"
+            )
         # The bases whose stabiliser is H itself: [N(H):H] of them.
         fixed = orders.count(0)
         conjugates, rest = divmod(n, fixed)

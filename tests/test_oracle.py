@@ -131,10 +131,26 @@ def test_coset_search_rechecks_its_results(monkeypatch):
         with pytest.raises(ConsistencyError, match="bad table"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
     real = oracle._compare
-    # The search never compares against base 0, so only the leaf sees this.
+    # A leaf that differs from its own re-standardisation from base 0; the
+    # search never compares against base 0, so only the leaf sees this.
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_compare", lambda fwd, n, base: -1 if base == 0 else real(fwd, n, base))
-        with pytest.raises(ConsistencyError, match="not the least"):
+        patch.setattr(
+            oracle, "_compare", lambda fwd, n, base: 1 if base == 0 else real(fwd, n, base)
+        )
+        with pytest.raises(ConsistencyError, match="not the least standard table"):
+            _coset_search(_pykernels.REL_FREE, 2, 3)
+
+    # A complete table undercut from base 2: the search dropped base 2 from
+    # the live list while the least table a = (1 2), b = (0 1 2) was partial,
+    # so only the leaf re-check compares it again.
+    def undercut_at_leaf(fwd, n, base):
+        if base == 2 and all(entry >= 0 for column in fwd for entry in column):
+            return -1
+        return real(fwd, n, base)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_compare", undercut_at_leaf)
+        with pytest.raises(ConsistencyError, match="not the least standard table"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
 
     # Base 1 counted as fixing a non-normal subgroup: [N(H):H] = 2 at n = 3.
