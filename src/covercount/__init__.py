@@ -18,7 +18,7 @@ from .census import (
     r_nu_recursive,
 )
 from .characters import beta, hook_product, hook_spectrum, partitions
-from .classes import CensusRow, CensusTable, census_table, count_classes, count_classes_generic
+from .classes import CensusRow, CensusTable, census_table, count_classes
 from .errors import ConsistencyError, ResourceLimitError
 from .numtheory import divisors, euler_phi, mobius
 
@@ -58,7 +58,6 @@ __all__ = [
     "beta",
     "census_table",
     "count_classes",
-    "count_classes_generic",
     "count_nonorientable_subgroups",
     "count_orientable_subgroups",
     "count_subgroups",

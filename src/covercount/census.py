@@ -25,12 +25,16 @@ each of the r generators may go anywhere (Hall 1949); free_subgroups feeds
 it to the recursion.  For surface groups it is a sum over symmetric group
 characters: beta(k, nu), the sum of (k!/degree)^nu over partitions of k,
 with nu the Euler-characteristic exponent (2g - 2 orientable, p - 2
-non-orientable); r_nu_recursive feeds beta to the recursion.  Both take
-each step from one private body, which also checks 1 <= M(m) <= m * a_m:
-the index-m subgroups number at most |Hom(G, S_m)| / (m-1)!, and at least
-one, since every supported group maps onto Z.  r_nu_closed implements the
-equivalent inclusion-exclusion over compositions with rational
-coefficients and is kept as an independent route for cross-checking.
+non-orientable); r_nu_recursive feeds beta to the recursion.  Each
+recursion keeps one table, keyed ("free", r) or ("surface", nu), of the
+a_k and M(k) computed so far, and a call for a larger m extends both lists
+one k at a time; their lru caches only memoise checked calls.  Every new
+M(k), M(1) included, must satisfy 1 <= M(k) <= k * a_k: the index-k
+subgroups number at most |Hom(G, S_k)| / (k-1)!, and at least one, since
+every supported group maps onto Z.  r_nu_closed implements the equivalent
+inclusion-exclusion over compositions in integers, over the common
+denominator lcm(1, ..., m), and is kept as an independent route for
+cross-checking.
 
 An index-m subgroup is again a free or surface group, with rank or genus
 given by the Riemann-Hurwitz relations.  covering_fiber records, for each
@@ -42,9 +46,8 @@ count_orientable_subgroups) and non-orientable ones.
 """
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .abelian import HomologySignature
@@ -167,30 +170,33 @@ class FiberClass:
         check_index(self.multiplicity, "multiplicity", minimum=0)
 
 
-@lru_cache(maxsize=None)
-def _factorial_power(k: int, e: int) -> int:
-    # a_k = (k!)^(r-1) for Free(r); every free_subgroups(m, r) with m > k
-    # reads it, so it is raised to the power once per (k, r).
-    return factorial(k) ** e
+# One table per recursion, keyed ("free", r) or ("surface", nu): the list
+# [a_1, a_2, ...] and the list [M(1), M(2), ...], equally long.
+_TABLES: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
 
 
-def _recursion_step(a: list[int], lower: list[int], call: str, a_m: str) -> int:
-    # M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j), with a = [a_1..a_m]
-    # and lower = [M(1)..M(m-1)]; call and a_m name the caller and its a_m
-    # in the error raised when M(m) leaves [1, m * a_m].
-    m = len(a)
-    bound = m * a[-1]
-    total = bound - sum(map(mul, reversed(a[:-1]), lower))
-    if not 1 <= total <= bound:
-        raise ConsistencyError(f"{call} is outside [1, m * {a_m}]")
-    return total
+def _table_count(key: tuple[str, int], m: int, a_of, call: str, a_m: str) -> int:
+    # M(m) from the table of key, extended up to m by
+    #     M(k) = k * a_k - sum_{j=1}^{k-1} a_{k-j} * M(j),
+    # with a_of(k) = a_k.  Each new M(k) must lie in [1, k * a_k]; call and
+    # a_m name the public function and its a_m in the error raised when it
+    # does not.  Both lists grow only after the check, so a failed step
+    # leaves the table as it was.
+    a, counts = _TABLES.setdefault(key, ([], []))
+    for k in range(len(counts) + 1, m + 1):
+        a_k = a_of(k)
+        bound = k * a_k
+        total = bound - sum(map(mul, reversed(a), counts))
+        if not 1 <= total <= bound:
+            raise ConsistencyError(f"{call}({k}, {key[1]}) is outside [1, m * {a_m}]")
+        a.append(a_k)
+        counts.append(total)
+    return counts[m - 1]
 
 
 @lru_cache(maxsize=None, typed=True)
 def free_subgroups(m: int, r: int) -> int:
     """Number of index-m subgroups of the free group of rank r.
-
-    M(1) = 1 and
 
         M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j),  a_k = (k!)^(r-1),
 
@@ -198,11 +204,9 @@ def free_subgroups(m: int, r: int) -> int:
     """
     check_index(m, "m")
     check_index(r, "r")
-    if m == 1:
-        return 1
-    a = [_factorial_power(k, r - 1) for k in range(1, m + 1)]
-    lower = [free_subgroups(j, r) for j in range(1, m)]
-    return _recursion_step(a, lower, f"free_subgroups({m}, {r})", "(m!)^(r-1)")
+    return _table_count(
+        ("free", r), m, lambda k: factorial(k) ** (r - 1), "free_subgroups", "(m!)^(r-1)"
+    )
 
 
 def _composition_sums(m: int, nu: int):
@@ -226,38 +230,32 @@ def r_nu_closed(m: int, nu: int) -> int:
         R(m) = m * sum_{s=1}^{m} (-1)^(s+1)/s *
                sum_{i_1+...+i_s=m} beta(i_1, nu) ... beta(i_s, nu)
 
-    Evaluated in exact rational arithmetic; the total provably reduces to an
-    integer, and a non-unit denominator raises.  The composition sums are
-    tabulated afresh on every call, so the result shares nothing with
-    r_nu_recursive but the beta values.
+    Evaluated in integers over the common denominator lcm(1, ..., m); the
+    total provably reduces to an integer, and a remainder raises.  The
+    composition sums are tabulated afresh on every call, so the result
+    shares nothing with r_nu_recursive but the beta values.
     """
     check_index(m, "m")
     check_index(nu, "nu", minimum=0)
-    total = Fraction(0)
+    denominator = lcm(*range(1, m + 1))
+    numerator = 0
     for s, composition_sum in enumerate(_composition_sums(m, nu), start=1):
-        sign = 1 if s % 2 == 1 else -1
-        total += Fraction(sign, s) * composition_sum
-    total *= m
-    if total.denominator != 1:
-        raise ConsistencyError(f"r_nu_closed({m}, {nu}) reduced to non-integer {total}")
-    return int(total)
+        term = denominator // s * composition_sum
+        numerator += term if s % 2 == 1 else -term
+    total, rem = divmod(m * numerator, denominator)
+    if rem:
+        raise ConsistencyError(f"r_nu_closed({m}, {nu}) does not reduce to an integer")
+    return total
 
 
 @lru_cache(maxsize=None, typed=True)
 def r_nu_recursive(m: int, nu: int) -> int:
     """Surface subgroup count by the beta recursion (same value as r_nu_closed)."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        # Only a bad argument calls check_index, to raise its error: a good
-        # one adds no child span to this recursion, whose span tree the
-        # perfbench self-time test fixes call by call.
-        check_index(m, "m")
-    if isinstance(nu, bool) or not isinstance(nu, int) or nu < 0:
-        check_index(nu, "nu", minimum=0)
-    if m == 1:
-        return 1
-    a = [beta(k, nu) for k in range(1, m + 1)]
-    lower = [r_nu_recursive(j, nu) for j in range(1, m)]
-    return _recursion_step(a, lower, f"r_nu_recursive({m}, {nu})", "beta(m, nu)")
+    check_index(m, "m")
+    check_index(nu, "nu", minimum=0)
+    return _table_count(
+        ("surface", nu), m, lambda k: beta(k, nu), "r_nu_recursive", "beta(m, nu)"
+    )
 
 
 def count_subgroups(kind: GroupKind, m: int) -> int:

@@ -7,11 +7,9 @@ ell (weighted by multiplicity) yields exactly n * N(n).  Only the
 abelianisation of each subgroup enters, which is what covering_fiber
 provides.
 
-count_classes_generic is that driver, run against any fiber provider; it
-verifies that the accumulator is divisible by n before dividing, and a
-failure means the fiber data is wrong.  count_classes runs it with
-covering_fiber as the provider, so the built-in families and any other
-provider share one driver.
+count_classes is that driver for every family; it verifies that the
+accumulator is divisible by n before dividing, and a failure means the
+fiber data is wrong.
 """
 
 from dataclasses import dataclass
@@ -49,27 +47,23 @@ class CensusTable:
     rows: tuple[CensusRow, ...]
 
 
-def count_classes_generic(n, fiber_provider) -> int:
-    """Conjugacy classes of index-n subgroups, from a fiber provider.
+def count_classes(kind: GroupKind, n: int) -> int:
+    """Conjugacy classes of index-n subgroups of the given group.
 
-    fiber_provider maps each divisor m of n to the list of FiberClass
-    entries for index m.  The accumulated epimorphism total must come out
-    divisible by n; if not, the provider is inconsistent and this raises.
+    Sums, over every divisor ell of n, the epimorphisms onto the cyclic
+    group of order ell from the index-n/ell subgroups, as covering_fiber
+    gives them.  The total must come out divisible by n; if not, the fiber
+    data is inconsistent and this raises.
     """
     check_index(n)
     acc = 0
     for ell in divisors(n):
-        for fiber in fiber_provider(n // ell):
+        for fiber in covering_fiber(kind, n // ell):
             acc += fiber.multiplicity * epi_count(fiber.signature, ell)
     count, rem = divmod(acc, n)
     if rem:
         raise ConsistencyError(f"epimorphism total {acc} not divisible by n = {n}")
     return count
-
-
-def count_classes(kind: GroupKind, n: int) -> int:
-    """Conjugacy classes of index-n subgroups of the given group."""
-    return count_classes_generic(n, lambda m: covering_fiber(kind, m))
 
 
 def _check_row(row: CensusRow) -> None:

@@ -17,12 +17,11 @@ from covercount.census import (
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
-    covering_fiber,
     r_nu_closed,
     r_nu_recursive,
 )
 from covercount.characters import beta, hook_product, partitions
-from covercount.classes import census_table, count_classes, count_classes_generic
+from covercount.classes import census_table, count_classes
 from covercount.numtheory import divisors
 from covercount.oracle import (
     oracle_count_classes,
@@ -30,6 +29,8 @@ from covercount.oracle import (
     oracle_epi_count,
     oracle_orientable_split,
 )
+
+from test_classes import _inline_count_classes
 
 
 def _report(number, text):
@@ -94,12 +95,11 @@ def test_criterion_4_genus_two_surface(monkeypatch):
         assert oracle_count_classes(genus2, n) == count_classes(genus2, n)
     assert oracle_count_subgroups(genus2, 5) == 151086
     assert oracle_count_classes(genus2, 5) == 30342
-    provider = lambda m: covering_fiber(genus2, m)
     for n in range(1, 11):
-        assert count_classes(genus2, n) == count_classes_generic(n, provider)
+        assert count_classes(genus2, n) == _inline_count_classes(genus2, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 5, generic driver n <= 10 ({elapsed:.2f}s)")
+    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 5, inline Mobius route n <= 10 ({elapsed:.2f}s)")
 
 
 def test_criterion_5_nonorientable_surfaces():
@@ -110,9 +110,8 @@ def test_criterion_5_nonorientable_surfaces():
         assert count_orientable_subgroups(p, 2) == expected[1]
         assert count_nonorientable_subgroups(p, 2) == expected[2]
         assert count_classes(kind, 2) == expected[3]
-        provider = lambda m, kind=kind: covering_fiber(kind, m)
         for n in range(1, 9):
-            assert count_classes(kind, n) == count_classes_generic(n, provider)
+            assert count_classes(kind, n) == _inline_count_classes(kind, n)
         for n in range(1, oracle_max + 1):
             assert oracle_count_subgroups(kind, n) == count_subgroups(kind, n)
             assert oracle_count_classes(kind, n) == count_classes(kind, n)
@@ -131,8 +130,8 @@ def test_criterion_5_nonorientable_surfaces():
 def test_criterion_6_closed_and_recursive_routes_agree():
     for nu in range(0, 5):
         for m in range(1, 13):
-            # r_nu_closed raises if its rational total fails to reduce to
-            # an integer, so equality here covers the denominator check.
+            # r_nu_closed raises if its total over lcm(1..m) leaves a
+            # remainder, so equality here covers the denominator check.
             assert r_nu_closed(m, nu) == r_nu_recursive(m, nu)
     _report(6, "r_nu closed form equals recursion for m <= 12, nu <= 4, denominators unit")
 
@@ -170,11 +169,10 @@ def test_criterion_8_structural_invariants():
     ]
     for kind in kinds:
         table = census_table(kind, 10)
-        provider = lambda m, kind=kind: covering_fiber(kind, m)
         for row in table.rows:
-            # The generic driver divides its accumulator by n only after
-            # checking divisibility, so agreement exercises that check.
-            assert count_classes_generic(row.n, provider) == row.conjugacy_classes
+            # The inline route asserts that its accumulator is divisible
+            # by n, independently of the driver's own check.
+            assert _inline_count_classes(kind, row.n) == row.conjugacy_classes
             assert row.conjugacy_classes <= row.subgroups <= row.n * row.conjugacy_classes
             if row.orientable_subgroups is not None:
                 assert row.orientable_subgroups + row.nonorientable_subgroups == row.subgroups

@@ -133,8 +133,9 @@ def test_free_subgroups_match_hall_t_reference():
 @pytest.fixture
 def cold_recursions():
     def clear():
-        for cached in (census.free_subgroups, census._factorial_power, census.r_nu_recursive):
-            cached.cache_clear()
+        census.free_subgroups.cache_clear()
+        census.r_nu_recursive.cache_clear()
+        census._TABLES.clear()
 
     clear()
     yield
@@ -155,10 +156,48 @@ def test_r_nu_recursive_checks_its_bounds(monkeypatch, cold_recursions):
     assert [r_nu_recursive(m, 2) for m in range(1, 6)] == [1, 3, 4, 3, 1]
     with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(6, 2\)"):
         r_nu_recursive(6, 2)
-    # A total above m * a_m breaks the upper bound.
+    # A total above m * a_m breaks the upper bound.  M(1) = a_1 is computed
+    # and checked like every other step, so a_1 = -1 is caught at m = 1.
     monkeypatch.setattr(census, "beta", lambda k, nu: -1 if k == 1 else 1)
-    with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(2, 3\)"):
+    with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(1, 3\)"):
+        r_nu_recursive(1, 3)
+    with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(1, 3\)"):
         r_nu_recursive(2, 3)
+
+
+def test_failed_step_leaves_the_table_unchanged(monkeypatch, cold_recursions):
+    # The refused step adds nothing, so once a_k is right again the same
+    # table goes on from where it stopped.
+    monkeypatch.setattr(census, "beta", lambda k, nu: 0 if k == 3 else k)
+    with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(3, 2\)"):
+        r_nu_recursive(4, 2)
+    assert census._TABLES[("surface", 2)] == ([1, 2], [1, 3])
+    monkeypatch.setattr(census, "beta", lambda k, nu: k)
+    assert r_nu_recursive(5, 2) == 1
+    assert census._TABLES[("surface", 2)] == ([1, 2, 3, 4, 5], [1, 3, 4, 3, 1])
+
+
+def test_free_subgroups_in_descending_order_from_a_cold_table(cold_recursions):
+    for r in (1, 2, 3):
+        first = free_subgroups(60, r)
+        assert census._TABLES[("free", r)][1][-1] == first
+        for m in range(60, 0, -1):
+            assert free_subgroups(m, r) == hall_t(m, r) // factorial(m - 1)
+
+
+def test_equal_parameters_keep_separate_tables(cold_recursions):
+    # Free(2) and nu = 2 share the parameter 2 but not a_k: (k!)^1 against
+    # beta(k, 2).  Interleaved calls must each extend their own table.
+    free = [1, 3, 13, 71, 461, 3447, 29093]
+    for m in range(1, 8):
+        assert free_subgroups(m, 2) == free[m - 1]
+        assert r_nu_recursive(m, 2) == r_nu_closed(m, 2)
+    assert r_nu_recursive(3, 2) == 220
+    a_free, m_free = census._TABLES[("free", 2)]
+    a_surface, m_surface = census._TABLES[("surface", 2)]
+    assert m_free == free and a_free == [factorial(k) for k in range(1, 8)]
+    assert a_surface == [census.beta(k, 2) for k in range(1, 8)]
+    assert m_surface[:3] == [1, 15, 220]
 
 
 def test_free_subgroup_counts():
@@ -227,6 +266,14 @@ def test_r_nu_closed_examples():
     assert r_nu_closed(3, 2) == 220
     for m in range(1, 21):
         assert r_nu_closed(m, 0) == _sigma(m)
+
+
+def test_r_nu_closed_raises_on_a_remainder(monkeypatch):
+    # With 5 in place of lcm(1..4) = 12 the quotients 5 // s are no longer
+    # exact, and the total 4 * numerator leaves a remainder mod 5.
+    monkeypatch.setattr(census, "lcm", lambda *args: 5)
+    with pytest.raises(ConsistencyError, match=r"r_nu_closed\(4, 2\)"):
+        r_nu_closed(4, 2)
 
 
 def test_r_nu_rejects_bad_arguments():

@@ -11,12 +11,8 @@ from covercount.census import (
     OrientableSurface,
     covering_fiber,
 )
-from covercount.classes import (
-    CensusRow,
-    census_table,
-    count_classes,
-    count_classes_generic,
-)
+from covercount import classes
+from covercount.classes import CensusRow, census_table, count_classes
 from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors, mobius
 
@@ -74,8 +70,6 @@ def test_surface_class_counts():
 def test_count_classes_rejects_zero():
     with pytest.raises(ValueError):
         count_classes(Free(2), 0)
-    with pytest.raises(ValueError):
-        count_classes_generic(0, lambda m: [])
 
 
 def test_generic_driver_matches_specialised_route():
@@ -87,29 +81,31 @@ def test_generic_driver_matches_specialised_route():
 
 
 def test_generic_driver_spec_example():
-    assert count_classes_generic(2, lambda m: covering_fiber(Free(2), m)) == 3
+    assert count_classes(Free(2), 2) == 3
 
 
-def test_generic_driver_at_index_one_sums_multiplicities():
-    provider = lambda m: [
+def test_generic_driver_at_index_one_sums_multiplicities(monkeypatch):
+    fibers = [
         FiberClass(HomologySignature(rank=1), 2),
         FiberClass(HomologySignature(torsion=(2,), rank=0), 3),
     ]
-    assert count_classes_generic(1, provider) == 5
+    monkeypatch.setattr(classes, "covering_fiber", lambda kind, m: fibers)
+    assert count_classes(Free(2), 1) == 5
 
 
-def test_generic_driver_rejects_inconsistent_provider():
-    # A provider built from trivial abelianisations gives a total of 1 at
-    # n = 2, which is not divisible by 2.
-    provider = lambda m: [FiberClass(HomologySignature(), 1)]
-    with pytest.raises(ConsistencyError):
-        count_classes_generic(2, provider)
+def test_generic_driver_rejects_inconsistent_provider(monkeypatch):
+    # Fibers of trivial abelianisations give a total of 1 at n = 2, which
+    # is not divisible by 2.
+    fibers = [FiberClass(HomologySignature(), 1)]
+    monkeypatch.setattr(classes, "covering_fiber", lambda kind, m: fibers)
+    with pytest.raises(ConsistencyError, match="not divisible by n = 2"):
+        count_classes(Free(2), 2)
 
 
 def test_generic_driver_refuses_a_float_multiplicity():
-    # FiberClass refuses it, so the class count cannot come out as 2.0.
+    # FiberClass refuses it, so no class count can come out as 2.0.
     with pytest.raises(TypeError):
-        count_classes_generic(2, lambda m: [FiberClass(HomologySignature(rank=1), 2.0)])
+        FiberClass(HomologySignature(rank=1), 2.0)
 
 
 def test_index_two_classes_equal_subgroups():

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import covercount
-from covercount import characters, numtheory
+from covercount import characters, classes, numtheory
 
 # Deleted names, with the module that used to define each.
 REMOVED = {
@@ -18,6 +18,7 @@ REMOVED = {
     "DivisorPair": numtheory,
     "divisor_pairs": numtheory,
     "gcd": numtheory,
+    "count_classes_generic": classes,
 }
 
 
@@ -59,13 +60,24 @@ print(loaded())
 """
 
 
-def test_import_count_and_table_leave_the_oracle_unloaded():
+def run_fresh(code):
+    """stdout lines of code run in a fresh interpreter that imports this covercount."""
     env = dict(os.environ, PYTHONPATH=str(Path(covercount.__file__).resolve().parent.parent))
     result = subprocess.run(
-        [sys.executable, "-c", LAZY_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    lines = result.stdout.splitlines()
+    return result.stdout.splitlines()
+
+
+def test_import_count_and_table_leave_the_oracle_unloaded():
+    lines = run_fresh(LAZY_PROBE)
     assert lines[-2:] == ["[]", "['covercount._pykernels', 'covercount.oracle']"]
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # All arithmetic is in ints; fractions would also load decimal.
+    probe = "import sys, covercount; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert run_fresh(probe) == ["[]"]
 
 
 def test_oracle_names_resolve_to_the_oracle_module():
