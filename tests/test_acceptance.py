@@ -99,7 +99,7 @@ def test_criterion_4_genus_two_surface(monkeypatch):
         assert count_classes(genus2, n) == _inline_count_classes(genus2, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 5, inline Mobius route n <= 10 ({elapsed:.2f}s)")
+    _report(4, f"orient:2 M(2) = N(2) = 15, oracle n <= 5, inline route n <= 10 ({elapsed:.2f}s)")
 
 
 def test_criterion_5_nonorientable_surfaces():

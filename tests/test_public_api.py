@@ -61,7 +61,7 @@ print(loaded())
 
 
 def run_fresh(code):
-    """stdout lines of code run in a fresh interpreter that imports this covercount."""
+    """stdout lines of code run in a fresh interpreter with this covercount on its path."""
     env = dict(os.environ, PYTHONPATH=str(Path(covercount.__file__).resolve().parent.parent))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
