@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ConsistencyError, check_index
-from .numtheory import divisors, mobius
+from .numtheory import _divisors, _mobius
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,10 @@ class HomologySignature:
 
 def hom_count(signature: HomologySignature, d: int) -> int:
     """Number of homomorphisms from the group into the cyclic group of order d."""
-    check_index(d, "d")
+    return _hom_count(signature, check_index(d, "d"))
+
+
+def _hom_count(signature: HomologySignature, d: int) -> int:
     count = d**signature.rank
     for t in signature.torsion:
         count *= gcd(t, d)
@@ -48,8 +51,13 @@ def epi_count(signature: HomologySignature, ell: int) -> int:
     Mobius inversion of hom_count over the divisors of ell.  The result is
     a count, so a negative total indicates a bug and raises.
     """
-    check_index(ell, "ell")
-    total = sum(mobius(ell // d) * hom_count(signature, d) for d in divisors(ell))
+    return _epi_count(signature, check_index(ell, "ell"))
+
+
+def _epi_count(signature: HomologySignature, ell: int) -> int:
+    # Unchecked, as are the helpers it calls: for an ell that count_classes
+    # derived from a checked n.
+    total = sum(_mobius(ell // d) * _hom_count(signature, d) for d in _divisors(ell))
     if total < 0:
         raise ConsistencyError(f"negative epimorphism count {total} for {signature} onto Z_{ell}")
     return total

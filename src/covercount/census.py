@@ -25,7 +25,9 @@ each of the r generators may go anywhere (Hall 1949); free_subgroups feeds
 it to the recursion.  For surface groups it is a sum over symmetric group
 characters: beta(k, nu), the sum of (k!/degree)^nu over partitions of k,
 with nu the Euler-characteristic exponent (2g - 2 orientable, p - 2
-non-orientable); r_nu_recursive feeds beta to the recursion.  Each
+non-orientable); r_nu_recursive feeds beta to the recursion.  Only the
+free sum is taken by Horner's rule, over the small ratios
+a_k / a_{k-1} = k^(r-1); consecutive beta have no integer ratio.  Each
 recursion keeps one table, keyed ("free", r) or ("surface", nu), of the
 a_k and M(k) computed so far, and a call for a larger m extends both lists
 one k at a time; their lru caches only memoise checked calls.  Every new
@@ -46,8 +48,8 @@ count_orientable_subgroups) and non-orientable ones.
 """
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from math import factorial, lcm
+from functools import lru_cache, partial
+from math import lcm
 from operator import mul
 
 from .abelian import HomologySignature
@@ -175,23 +177,38 @@ class FiberClass:
 _TABLES: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
 
 
-def _table_count(key: tuple[str, int], m: int, a_of, call: str, a_m: str) -> int:
+def _table_count(key: tuple[str, int], m: int, step, call: str, a_m: str) -> int:
     # M(m) from the table of key, extended up to m by
     #     M(k) = k * a_k - sum_{j=1}^{k-1} a_{k-j} * M(j),
-    # with a_of(k) = a_k.  Each new M(k) must lie in [1, k * a_k]; call and
-    # a_m name the public function and its a_m in the error raised when it
-    # does not.  Both lists grow only after the check, so a failed step
-    # leaves the table as it was.
+    # with step(k, a, counts) = (a_k, the sum).  Each new M(k) must lie in
+    # [1, k * a_k]; call and a_m name the public function and its a_m in the
+    # error raised when it does not.  Both lists grow only after the check,
+    # so a failed step leaves the table as it was.
     a, counts = _TABLES.setdefault(key, ([], []))
     for k in range(len(counts) + 1, m + 1):
-        a_k = a_of(k)
+        a_k, convolution = step(k, a, counts)
         bound = k * a_k
-        total = bound - sum(map(mul, reversed(a), counts))
+        total = bound - convolution
         if not 1 <= total <= bound:
             raise ConsistencyError(f"{call}({k}, {key[1]}) is outside [1, m * {a_m}]")
         a.append(a_k)
         counts.append(total)
     return counts[m - 1]
+
+
+def _free_ratios(k: int, e: int) -> list[int]:
+    # The ratios a_i / a_{i-1} = i^e of a_i = (i!)^e, for i = k down to 2.
+    return [i**e for i in range(k, 1, -1)]
+
+
+def _free_step(e, k, a, counts):
+    # a_k = a_{k-1} * k^e, and the sum by Horner's rule:
+    #     M(k-1) + 2^e * (M(k-2) + 3^e * (M(k-3) + ... + (k-1)^e * M(1))).
+    ratios = _free_ratios(k, e)
+    acc = 0
+    for ratio, count in zip(ratios, counts):
+        acc = acc * ratio + count
+    return a[-1] * ratios[0] if a else 1, acc
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -200,13 +217,18 @@ def free_subgroups(m: int, r: int) -> int:
 
         M(m) = m * a_m - sum_{j=1}^{m-1} a_{m-j} * M(j),  a_k = (k!)^(r-1),
 
-    the recursion of the module docstring with a_k = |Hom(F_r, S_k)| / k!.
+    the recursion of the module docstring with a_k = |Hom(F_r, S_k)| / k!,
+    its sum by Horner's rule: each term a big-by-small product.
     """
     check_index(m, "m")
     check_index(r, "r")
     return _table_count(
-        ("free", r), m, lambda k: factorial(k) ** (r - 1), "free_subgroups", "(m!)^(r-1)"
+        ("free", r), m, partial(_free_step, r - 1), "free_subgroups", "(m!)^(r-1)"
     )
+
+
+def _surface_step(nu, k, a, counts):
+    return beta(k, nu), sum(map(mul, reversed(a), counts))
 
 
 def _composition_sums(m: int, nu: int):
@@ -254,7 +276,7 @@ def r_nu_recursive(m: int, nu: int) -> int:
     check_index(m, "m")
     check_index(nu, "nu", minimum=0)
     return _table_count(
-        ("surface", nu), m, lambda k: beta(k, nu), "r_nu_recursive", "beta(m, nu)"
+        ("surface", nu), m, partial(_surface_step, nu), "r_nu_recursive", "beta(m, nu)"
     )
 
 

@@ -14,7 +14,7 @@ fiber data is wrong.
 
 from dataclasses import dataclass
 
-from .abelian import epi_count
+from .abelian import _epi_count
 from .census import (
     GroupKind,
     check_kind,
@@ -24,7 +24,7 @@ from .census import (
     covering_fiber,
 )
 from .errors import ConsistencyError, check_index
-from .numtheory import divisors
+from .numtheory import _divisors
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,11 @@ def count_classes(kind: GroupKind, n: int) -> int:
     data is inconsistent and this raises.
     """
     check_index(n)
+    # Each ell divides the checked n: no need to check it again.
     acc = 0
-    for ell in divisors(n):
+    for ell in _divisors(n):
         for fiber in covering_fiber(kind, n // ell):
-            acc += fiber.multiplicity * epi_count(fiber.signature, ell)
+            acc += fiber.multiplicity * _epi_count(fiber.signature, ell)
     count, rem = divmod(acc, n)
     if rem:
         raise ConsistencyError(f"epimorphism total {acc} not divisible by n = {n}")

@@ -10,7 +10,10 @@ from .errors import check_index
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    check_index(n)
+    return _divisors(check_index(n))
+
+
+def _divisors(n: int) -> list[int]:
     small = []
     large = []
     d = 1
@@ -25,7 +28,10 @@ def divisors(n: int) -> list[int]:
 
 def mobius(n: int) -> int:
     """Mobius function: 0 if n has a squared prime factor, else (-1)^#primes."""
-    check_index(n)
+    return _mobius(check_index(n))
+
+
+def _mobius(n: int) -> int:
     result = 1
     p = 2
     while p * p <= n:

@@ -1,5 +1,7 @@
+import importlib.util
 from functools import lru_cache
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -142,13 +144,27 @@ def cold_recursions():
     clear()
 
 
+def true_ratios_but(i_bad, q_bad):
+    # census._free_ratios with q_bad in place of the ratio i_bad^e.
+    def ratios(k, e):
+        return [q_bad if i == i_bad else i**e for i in range(k, 1, -1)]
+
+    return ratios
+
+
 def test_free_subgroups_checks_its_bounds(monkeypatch, cold_recursions):
-    # With k in place of k!, a_k = k for r = 2 and the recursion gives
-    # M = 1, 3, 4, 3, 1, 0: the sixth value breaks M(m) >= 1.
-    monkeypatch.setattr(census, "factorial", lambda k: k)
-    assert [free_subgroups(m, 2) for m in range(1, 6)] == [1, 3, 4, 3, 1]
-    with pytest.raises(ConsistencyError, match=r"free_subgroups\(6, 2\)"):
-        free_subgroups(6, 2)
+    # With 1 in place of the ratio 4 for r = 2, a_4 = 6 and the Horner sum
+    # for k = 4 is M(3) + 2 * (M(2) + 3 * M(1)) = 25, so M(4) = 4 * 6 - 25 =
+    # -1 breaks M(m) >= 1 right after the true values 1, 3, 13.
+    monkeypatch.setattr(census, "_free_ratios", true_ratios_but(4, 1))
+    assert [free_subgroups(m, 2) for m in range(1, 4)] == [1, 3, 13]
+    with pytest.raises(ConsistencyError, match=r"free_subgroups\(4, 2\)"):
+        free_subgroups(4, 2)
+    # A zero ratio makes a_5 = 0, so no M(5) fits in [1, 5 * a_5].
+    monkeypatch.setattr(census, "_free_ratios", true_ratios_but(5, 0))
+    assert [free_subgroups(m, 3) for m in range(1, 5)] == [1, 7, 97, 2143]
+    with pytest.raises(ConsistencyError, match=r"free_subgroups\(5, 3\)"):
+        free_subgroups(5, 3)
 
 
 def test_r_nu_recursive_checks_its_bounds(monkeypatch, cold_recursions):
@@ -175,6 +191,18 @@ def test_failed_step_leaves_the_table_unchanged(monkeypatch, cold_recursions):
     monkeypatch.setattr(census, "beta", lambda k, nu: k)
     assert r_nu_recursive(5, 2) == 1
     assert census._TABLES[("surface", 2)] == ([1, 2, 3, 4, 5], [1, 3, 4, 3, 1])
+
+
+def test_failed_free_step_leaves_the_table_unchanged(monkeypatch, cold_recursions):
+    # The free counterpart of the test above: a zero ratio 3 refuses
+    # M(3), and with the true ratios back the table goes on from M(2).
+    monkeypatch.setattr(census, "_free_ratios", true_ratios_but(3, 0))
+    with pytest.raises(ConsistencyError, match=r"free_subgroups\(3, 2\)"):
+        free_subgroups(4, 2)
+    assert census._TABLES[("free", 2)] == ([1, 2], [1, 3])
+    monkeypatch.undo()
+    assert free_subgroups(5, 2) == 461
+    assert census._TABLES[("free", 2)] == ([1, 2, 6, 24, 120], [1, 3, 13, 71, 461])
 
 
 def test_free_subgroups_in_descending_order_from_a_cold_table(cold_recursions):
@@ -357,3 +385,21 @@ def test_covering_fiber_multiplicities_sum_to_subgroup_count():
 def test_covering_fiber_rejects_zero_index():
     with pytest.raises(ValueError):
         covering_fiber(Free(2), 0)
+
+
+DOT_PRODUCT = Path(__file__).resolve().parent / "free_dot_product.py"
+
+
+@pytest.fixture(scope="module")
+def dot_product():
+    spec = importlib.util.spec_from_file_location("free_dot_product", DOT_PRODUCT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_free_tables_match_the_dot_product_reference(dot_product, cold_recursions):
+    for r in range(1, 7):
+        free_subgroups(150, r)
+        assert census._TABLES[("free", r)] == dot_product.free_table(150, r)
+    assert free_subgroups(300, 6) == dot_product.free_table(300, 6)[1][-1]
