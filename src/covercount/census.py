@@ -10,10 +10,12 @@ Three families of groups are supported:
   relation.
 
 Each family class is the one record of what the formula routes know about
-it: its spec prefix (FAMILIES maps each prefix to its class), whether its
-subgroups split by orientability (splits), its subgroup counts
-(subgroups(m)) and its covering fiber (fiber(m)).  count_subgroups and
-covering_fiber check their arguments and ask the record.
+it: its spec prefix (FAMILIES maps each prefix to its class), its
+orientability split (split(m), None for the orientable families), its
+subgroup counts (subgroups(m)) and its covering fiber (fiber(m)).
+count_subgroups and covering_fiber check their arguments and ask the
+record.  The generator count belongs to the presentation, which the oracle
+encodes for itself (oracle._presentation).
 
 count_subgroups gives the number M(m) of index-m subgroups.  With
 a_k = |Hom(G, S_k)| / k!, every supported group satisfies
@@ -63,12 +65,16 @@ class GroupKind:
     __slots__ = ()
 
     prefix: str
-    splits = False
 
     def __str__(self):
         # Every family has one parameter, its only dataclass field.
         (parameter,) = fields(self)
         return f"{self.prefix}:{getattr(self, parameter.name)}"
+
+    def split(self, m: int) -> tuple[int, int] | None:
+        """(orientable, non-orientable) index-m subgroup counts, or None
+        when the family's subgroups do not split by orientability."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,6 @@ class Free(GroupKind):
 
     def __post_init__(self):
         check_index(self.rank, "free rank")
-
-    @property
-    def generator_count(self) -> int:
-        return self.rank
 
     def subgroups(self, m: int) -> int:
         return free_subgroups(m, self.rank)
@@ -104,10 +106,6 @@ class OrientableSurface(GroupKind):
     def __post_init__(self):
         check_index(self.genus, "orientable genus")
 
-    @property
-    def generator_count(self) -> int:
-        return 2 * self.genus
-
     def subgroups(self, m: int) -> int:
         return r_nu_recursive(m, 2 * self.genus - 2)
 
@@ -124,29 +122,26 @@ class NonOrientableSurface(GroupKind):
 
     genus: int
     prefix = "nonorient"
-    splits = True
 
     def __post_init__(self):
         check_index(self.genus, "non-orientable genus", minimum=2)
 
-    @property
-    def generator_count(self) -> int:
-        return self.genus
-
     def subgroups(self, m: int) -> int:
         return r_nu_recursive(m, self.genus - 2)
+
+    def split(self, m: int) -> tuple[int, int]:
+        p = self.genus
+        return count_orientable_subgroups(p, m), count_nonorientable_subgroups(p, m)
 
     def fiber(self, m: int) -> list["FiberClass"]:
         # Orientable index-m subgroups abelianise to rank m(p-2) + 2 with no
         # torsion, non-orientable ones to rank m(p-2) + 1 with a single
         # order-2 torsion summand.
         p = self.genus
+        plus, minus = self.split(m)
         classes = [
-            FiberClass(HomologySignature(rank=m * (p - 2) + 2), count_orientable_subgroups(p, m)),
-            FiberClass(
-                HomologySignature(torsion=(2,), rank=m * (p - 2) + 1),
-                count_nonorientable_subgroups(p, m),
-            ),
+            FiberClass(HomologySignature(rank=m * (p - 2) + 2), plus),
+            FiberClass(HomologySignature(torsion=(2,), rank=m * (p - 2) + 1), minus),
         ]
         return [fiber for fiber in classes if fiber.multiplicity > 0]
 
@@ -235,7 +230,7 @@ def _composition_sums(m: int, nu: int):
     # For s = 1, ..., m: the sum of beta(i_1, nu) * ... * beta(i_s, nu) over
     # all ordered ways to write m = i_1 + ... + i_s with every part >= 1.
     # row[j] holds that sum for j in place of m and the current s; the next
-    # row splits off the first part, so the whole walk costs O(m^3).
+    # row takes off the first part, so the whole walk costs O(m^3).
     betas = [0] + [beta(i, nu) for i in range(1, m + 1)]
     row = betas
     for s in range(1, m + 1):

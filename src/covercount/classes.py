@@ -4,8 +4,8 @@ The class count N(n) follows from the subgroup counts of the covering
 fibers: summing, over every divisor ell of n with m = n / ell, the number
 of epimorphisms from each index-m subgroup onto the cyclic group of order
 ell (weighted by multiplicity) yields exactly n * N(n).  Only the
-abelianisation of each subgroup enters, which is what covering_fiber
-provides.
+abelianisation of each subgroup enters, which is what the family record's
+fiber(m) provides.
 
 count_classes is that driver for every family; it verifies that the
 accumulator is divisible by n before dividing, and a failure means the
@@ -15,14 +15,7 @@ fiber data is wrong.
 from dataclasses import dataclass
 
 from .abelian import _epi_count
-from .census import (
-    GroupKind,
-    check_kind,
-    count_nonorientable_subgroups,
-    count_orientable_subgroups,
-    count_subgroups,
-    covering_fiber,
-)
+from .census import GroupKind, check_kind, count_subgroups
 from .errors import ConsistencyError, check_index
 from .numtheory import _divisors
 
@@ -51,15 +44,17 @@ def count_classes(kind: GroupKind, n: int) -> int:
     """Conjugacy classes of index-n subgroups of the given group.
 
     Sums, over every divisor ell of n, the epimorphisms onto the cyclic
-    group of order ell from the index-n/ell subgroups, as covering_fiber
+    group of order ell from the index-n/ell subgroups, as kind.fiber
     gives them.  The total must come out divisible by n; if not, the fiber
     data is inconsistent and this raises.
     """
     check_index(n)
-    # Each ell divides the checked n: no need to check it again.
+    check_kind(kind)
+    # Each ell divides the checked n and the kind is checked: ask the record,
+    # not covering_fiber, which would check both again for every divisor.
     acc = 0
     for ell in _divisors(n):
-        for fiber in covering_fiber(kind, n // ell):
+        for fiber in kind.fiber(n // ell):
             acc += fiber.multiplicity * _epi_count(fiber.signature, ell)
     count, rem = divmod(acc, n)
     if rem:
@@ -80,14 +75,9 @@ def census_table(kind: GroupKind, n_max: int) -> CensusTable:
     """Census rows for n = 1..n_max, with the split for non-orientable groups."""
     check_index(n_max, "n_max")
     rows = []
-    split = check_kind(kind).splits
     for n in range(1, n_max + 1):
         row = CensusRow(
-            n=n,
-            subgroups=count_subgroups(kind, n),
-            conjugacy_classes=count_classes(kind, n),
-            orientable_subgroups=count_orientable_subgroups(kind.genus, n) if split else None,
-            nonorientable_subgroups=count_nonorientable_subgroups(kind.genus, n) if split else None,
+            n, count_subgroups(kind, n), count_classes(kind, n), *(kind.split(n) or ())
         )
         _check_row(row)
         rows.append(row)

@@ -16,13 +16,7 @@ import sys
 import traceback
 
 from .abelian import HomologySignature, epi_count
-from .census import (
-    FAMILIES,
-    GroupKind,
-    count_nonorientable_subgroups,
-    count_orientable_subgroups,
-    count_subgroups,
-)
+from .census import FAMILIES, GroupKind, count_subgroups
 from .classes import census_table, count_classes
 from .errors import ConsistencyError, ResourceLimitError, check_index
 
@@ -62,11 +56,10 @@ def cmd_count(args) -> int:
     elif args.what == "classes":
         print(count_classes(kind, n))
     else:
-        if not kind.splits:
+        split = kind.split(n)
+        if split is None:
             raise ValueError("--what split applies only to nonorient groups")
-        plus = count_orientable_subgroups(kind.genus, n)
-        minus = count_nonorientable_subgroups(kind.genus, n)
-        print(f"{plus} {minus}")
+        print(*split)
     return 0
 
 
@@ -74,11 +67,10 @@ def cmd_table(args) -> int:
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
     table = census_table(kind, n_max)
-    split = kind.splits
     records = []
     for row in table.rows:
         record = {"n": row.n, "M": row.subgroups}
-        if split:
+        if row.orientable_subgroups is not None:
             record["M_plus"] = row.orientable_subgroups
             record["M_minus"] = row.nonorientable_subgroups
         record["N"] = row.conjugacy_classes
@@ -101,16 +93,14 @@ def cmd_verify(args) -> int:
     # The largest search first: it is cached for the loop below, and one
     # over the node limit is refused before any line is printed.
     oracle.oracle_count_subgroups(kind, n_max)
-    split = kind.splits
     failures = 0
     for n in range(1, n_max + 1):
         checks = [
             ("M", count_subgroups(kind, n), oracle.oracle_count_subgroups(kind, n)),
         ]
-        if split:
-            plus, minus = oracle.oracle_orientable_split(kind.genus, n)
-            checks.append(("M+", count_orientable_subgroups(kind.genus, n), plus))
-            checks.append(("M-", count_nonorientable_subgroups(kind.genus, n), minus))
+        split = kind.split(n)
+        if split is not None:
+            checks += zip(("M+", "M-"), split, oracle.oracle_orientable_split(kind.genus, n))
         checks.append(("N", count_classes(kind, n), oracle.oracle_count_classes(kind, n)))
         fields = []
         ok = True

@@ -13,9 +13,9 @@ exactly one leaf per conjugacy class, so the leaves number N.  A leaf H
 stands for n / [N(H):H] conjugate subgroups, [N(H):H] being the number of
 base points whose re-standardisation equals the table, so M is the sum of
 n / [N(H):H] over the leaves; for the squares relation a parity check on
-each leaf's stabiliser splits M into orientable and non-orientable
+each leaf's stabiliser divides M into orientable and non-orientable
 subgroups.  One search per (relation, generators, index) serves all three
-counters.
+counters; _presentation gives each family's relation and generator count.
 
 The tuple kernels in _pykernels walk every tuple of generator images in
 the symmetric group instead.  They are the reference the search is tested
@@ -61,13 +61,14 @@ def kernel_backend() -> str:
     return "python"
 
 
-def _relation_code(kind: GroupKind) -> int:
+def _presentation(kind: GroupKind) -> tuple[int, int]:
+    # The relation code and the generator count of kind's presentation.
     if isinstance(kind, Free):
-        return _pykernels.REL_FREE
+        return _pykernels.REL_FREE, kind.rank
     if isinstance(kind, OrientableSurface):
-        return _pykernels.REL_COMMUTATOR
+        return _pykernels.REL_COMMUTATOR, 2 * kind.genus
     if isinstance(kind, NonOrientableSurface):
-        return _pykernels.REL_SQUARES
+        return _pykernels.REL_SQUARES, kind.genus
     raise TypeError(f"unsupported group kind {kind!r}")
 
 
@@ -288,9 +289,9 @@ def _compare(fwd: list[list[int]], n: int, base: int) -> int | None:
 
 def _search(kind: GroupKind, n: int) -> tuple[int, int, int]:
     check_index(n)
-    rel = _relation_code(kind)
+    rel, gens = _presentation(kind)
     try:
-        return _coset_search(rel, kind.generator_count, n)
+        return _coset_search(rel, gens, n)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{kind} at index {n}: {exc}") from None
 

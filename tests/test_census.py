@@ -26,6 +26,7 @@ from covercount.census import (
 )
 from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors
+from covercount.oracle import _presentation
 
 
 def _sigma(n):
@@ -39,9 +40,9 @@ def test_group_kind_validation():
         OrientableSurface(0)
     with pytest.raises(ValueError):
         NonOrientableSurface(1)
-    assert Free(2).generator_count == 2
-    assert OrientableSurface(3).generator_count == 6
-    assert NonOrientableSurface(3).generator_count == 3
+    assert _presentation(Free(2))[1] == 2
+    assert _presentation(OrientableSurface(3))[1] == 6
+    assert _presentation(NonOrientableSurface(3))[1] == 3
 
 
 def test_group_kind_spec_strings():
@@ -58,8 +59,22 @@ def test_families_are_the_three_records():
     }
     for prefix, family in FAMILIES.items():
         assert family.prefix == prefix
-        assert family.splits is (family is NonOrientableSurface)
-    assert GroupKind.splits is False
+        assert (family(2).split(1) is None) is (family is not NonOrientableSurface)
+    assert GroupKind().split(1) is None
+
+
+def test_split_on_the_record_matches_the_public_counters():
+    for p in range(2, 6):
+        kind = NonOrientableSurface(p)
+        for m in range(1, 31):
+            plus, minus = kind.split(m)
+            assert plus == count_orientable_subgroups(p, m), (p, m)
+            assert minus == count_nonorientable_subgroups(p, m), (p, m)
+            assert plus + minus == count_subgroups(kind, m), (p, m)
+            if m % 2 == 1:
+                assert plus == 0, (p, m)
+    for kind in (Free(1), Free(3), OrientableSurface(1), OrientableSurface(2)):
+        assert [kind.split(m) for m in range(1, 31)] == [None] * 30
 
 
 def test_non_family_argument_raises_type_error():

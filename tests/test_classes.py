@@ -89,7 +89,7 @@ def test_generic_driver_at_index_one_sums_multiplicities(monkeypatch):
         FiberClass(HomologySignature(rank=1), 2),
         FiberClass(HomologySignature(torsion=(2,), rank=0), 3),
     ]
-    monkeypatch.setattr(classes, "covering_fiber", lambda kind, m: fibers)
+    monkeypatch.setattr(Free, "fiber", lambda self, m: fibers)
     assert count_classes(Free(2), 1) == 5
 
 
@@ -97,9 +97,23 @@ def test_generic_driver_rejects_inconsistent_provider(monkeypatch):
     # Fibers of trivial abelianisations give a total of 1 at n = 2, which
     # is not divisible by 2.
     fibers = [FiberClass(HomologySignature(), 1)]
-    monkeypatch.setattr(classes, "covering_fiber", lambda kind, m: fibers)
+    monkeypatch.setattr(Free, "fiber", lambda self, m: fibers)
     with pytest.raises(ConsistencyError, match="not divisible by n = 2"):
         count_classes(Free(2), 2)
+
+
+def test_driver_checks_its_kind_once_and_asks_the_record(monkeypatch):
+    def refuse(kind, m):
+        raise AssertionError("count_classes went through covering_fiber")
+
+    monkeypatch.setattr(classes, "covering_fiber", refuse, raising=False)
+    calls = []
+    real = classes.check_kind
+    monkeypatch.setattr(classes, "check_kind", lambda kind: calls.append(kind) or real(kind))
+    for kind in (Free(2), OrientableSurface(2), NonOrientableSurface(3)):
+        calls.clear()
+        assert count_classes(kind, 12) == _inline_count_classes(kind, 12)
+        assert calls == [kind]
 
 
 def test_generic_driver_refuses_a_float_multiplicity():

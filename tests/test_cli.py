@@ -144,6 +144,23 @@ def test_verify_includes_split_for_nonorientable(capsys):
     assert lines[1] == "n=2 PASS M=7 M+=1 M-=6 N=7"
 
 
+def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
+    real = oracle.oracle_orientable_split
+
+    def wrong(p, n):
+        plus, minus = real(p, n)
+        return plus + (1 if n == 2 else 0), minus
+
+    monkeypatch.setattr(oracle, "oracle_orientable_split", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--group", "nonorient:3", "--max-index", "3")
+    assert code == 1
+    assert out.strip().split("\n") == [
+        "n=1 PASS M=1 M+=0 M-=1 N=1",
+        "n=2 FAIL M=7 M+=1!=2 M-=6 N=7",
+        "n=3 PASS M=34 M+=0 M-=34 N=14",
+    ]
+
+
 def test_verify_reports_mismatches(capsys, monkeypatch):
     import covercount.cli as cli_module
 

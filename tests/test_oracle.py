@@ -21,7 +21,7 @@ from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
     _compare,
     _coset_search,
-    _relation_code,
+    _presentation,
     kernel_backend,
     oracle_count_classes,
     oracle_count_subgroups,
@@ -86,7 +86,7 @@ def test_oracle_orientable_split_matches_formulas():
 
 def test_coset_search_matches_tuple_brute_force():
     for kind, n_max in SMALL_GRID:
-        rel, gens = _relation_code(kind), kind.generator_count
+        rel, gens = _presentation(kind)
         for n in range(1, n_max + 1):
             _coset_search.cache_clear()
             subgroups, classes, orientable = _coset_search(rel, gens, n)
@@ -103,7 +103,7 @@ def test_coset_search_matches_tuple_brute_force():
 
 def test_coset_search_matches_full_leaf_reference(reference):
     for kind, n_max in REFERENCE_GRID:
-        rel, gens = _relation_code(kind), kind.generator_count
+        rel, gens = _presentation(kind)
         for n in range(1, n_max + 1):
             expected = reference.full_leaf_search(rel, gens, n)
             assert _coset_search(rel, gens, n) == expected, (kind, n)

@@ -36,6 +36,14 @@ def test_removed_names_are_gone():
         assert not hasattr(module, name)
 
 
+def test_family_records_have_no_splits_or_generator_count():
+    # The split is asked of split(m); the generator count is the oracle's.
+    kinds = (covercount.Free(2), covercount.OrientableSurface(2), covercount.NonOrientableSurface(2))
+    for record in (covercount.GroupKind, *kinds):
+        assert not hasattr(record, "splits")
+        assert not hasattr(record, "generator_count")
+
+
 ORACLE_NAMES = (
     "kernel_backend",
     "oracle_count_classes",
