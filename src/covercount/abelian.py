@@ -7,15 +7,13 @@ the product gcd(m_1, d) * ... * gcd(m_s, d) * d^rank.  Epimorphism counts
 follow by Mobius inversion over the divisors of the target order.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import ConsistencyError, check_index
+from .errors import ConsistencyError, Record, check_index
 from .numtheory import _divisors, _mobius
 
 
-@dataclass(frozen=True)
-class HomologySignature:
+class HomologySignature(Record):
     """Torsion orders (each >= 2) and free rank of an abelian group.
 
     The torsion orders are stored sorted ascending.  They are not required
@@ -23,14 +21,14 @@ class HomologySignature:
     groups and produce identical counts.
     """
 
-    torsion: tuple[int, ...] = ()
-    rank: int = 0
+    __slots__ = ("torsion", "rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion)))
-        for t in self.torsion:
+    def __init__(self, torsion: tuple[int, ...] = (), rank: int = 0):
+        torsion = tuple(sorted(torsion))
+        for t in torsion:
             check_index(t, "torsion order", minimum=2)
-        check_index(self.rank, "rank", minimum=0)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "rank", check_index(rank, "rank", minimum=0))
 
 
 def hom_count(signature: HomologySignature, d: int) -> int:

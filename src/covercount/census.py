@@ -30,14 +30,12 @@ with nu the Euler-characteristic exponent (2g - 2 orientable, p - 2
 non-orientable); r_nu_recursive feeds beta to the recursion.  Only the
 free sum is taken by Horner's rule, over the small ratios
 a_k / a_{k-1} = k^(r-1); consecutive beta have no integer ratio.  Each
-recursion keeps one table, keyed ("free", r) or ("surface", nu), of the
-a_k and M(k) computed so far, and a call for a larger m extends both lists
-one k at a time; their lru caches only memoise checked calls.  Every new
-M(k), M(1) included, must satisfy 1 <= M(k) <= k * a_k: the index-k
-subgroups number at most |Hom(G, S_k)| / (k-1)!, and at least one, since
-every supported group maps onto Z.  r_nu_closed implements the equivalent
-inclusion-exclusion over compositions in integers, over the common
-denominator lcm(1, ..., m), and is kept as an independent route for
+recursion extends its table of a_k and M(k) (_TABLES) one k at a time.
+Every new M(k), M(1) included, must satisfy 1 <= M(k) <= k * a_k: the
+index-k subgroups number at most |Hom(G, S_k)| / (k-1)!, and at least one,
+since every supported group maps onto Z.  r_nu_closed implements the
+equivalent inclusion-exclusion over compositions in integers, over the
+common denominator lcm(1, ..., m), and is kept as an independent route for
 cross-checking.
 
 An index-m subgroup is again a free or surface group, with rank or genus
@@ -49,17 +47,16 @@ group split into orientable ones (which exist only for even m, counted by
 count_orientable_subgroups) and non-orientable ones.
 """
 
-from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from math import lcm
 from operator import mul
 
 from .abelian import HomologySignature
 from .characters import beta
-from .errors import ConsistencyError, check_index
+from .errors import ConsistencyError, Record, check_index
 
 
-class GroupKind:
+class GroupKind(Record):
     """Base class for the family records described in the module docstring."""
 
     __slots__ = ()
@@ -67,9 +64,8 @@ class GroupKind:
     prefix: str
 
     def __str__(self):
-        # Every family has one parameter, its only dataclass field.
-        (parameter,) = fields(self)
-        return f"{self.prefix}:{getattr(self, parameter.name)}"
+        # Every family has one parameter, its only field.
+        return f"{self.prefix}:{self._values()[0]}"
 
     def split(self, m: int) -> tuple[int, int] | None:
         """(orientable, non-orientable) index-m subgroup counts, or None
@@ -77,15 +73,14 @@ class GroupKind:
         return None
 
 
-@dataclass(frozen=True)
 class Free(GroupKind):
     """Free group of the given rank."""
 
-    rank: int
+    __slots__ = ("rank",)
     prefix = "free"
 
-    def __post_init__(self):
-        check_index(self.rank, "free rank")
+    def __init__(self, rank: int):
+        object.__setattr__(self, "rank", check_index(rank, "free rank"))
 
     def subgroups(self, m: int) -> int:
         return free_subgroups(m, self.rank)
@@ -96,15 +91,14 @@ class Free(GroupKind):
         return [FiberClass(signature, self.subgroups(m))]
 
 
-@dataclass(frozen=True)
 class OrientableSurface(GroupKind):
     """Fundamental group of the closed orientable surface of genus g >= 1."""
 
-    genus: int
+    __slots__ = ("genus",)
     prefix = "orient"
 
-    def __post_init__(self):
-        check_index(self.genus, "orientable genus")
+    def __init__(self, genus: int):
+        object.__setattr__(self, "genus", check_index(genus, "orientable genus"))
 
     def subgroups(self, m: int) -> int:
         return r_nu_recursive(m, 2 * self.genus - 2)
@@ -116,22 +110,25 @@ class OrientableSurface(GroupKind):
         return [FiberClass(signature, self.subgroups(m))]
 
 
-@dataclass(frozen=True)
 class NonOrientableSurface(GroupKind):
     """Fundamental group of the closed non-orientable surface of genus p >= 2."""
 
-    genus: int
+    __slots__ = ("genus",)
     prefix = "nonorient"
 
-    def __post_init__(self):
-        check_index(self.genus, "non-orientable genus", minimum=2)
+    def __init__(self, genus: int):
+        object.__setattr__(self, "genus", check_index(genus, "non-orientable genus", minimum=2))
 
     def subgroups(self, m: int) -> int:
         return r_nu_recursive(m, self.genus - 2)
 
     def split(self, m: int) -> tuple[int, int]:
         p = self.genus
-        return count_orientable_subgroups(p, m), count_nonorientable_subgroups(p, m)
+        plus = count_orientable_subgroups(p, m)
+        minus = self.subgroups(m) - plus
+        if minus < 0:
+            raise ConsistencyError(f"orientable subgroup count exceeds total at p={p}, m={m}")
+        return plus, minus
 
     def fiber(self, m: int) -> list["FiberClass"]:
         # Orientable index-m subgroups abelianise to rank m(p-2) + 2 with no
@@ -156,19 +153,18 @@ def check_kind(kind) -> GroupKind:
     return kind
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(Record):
     """One abelianisation class of index-m subgroups, with its multiplicity."""
 
-    signature: HomologySignature
-    multiplicity: int
+    __slots__ = ("signature", "multiplicity")
 
-    def __post_init__(self):
-        check_index(self.multiplicity, "multiplicity", minimum=0)
+    def __init__(self, signature: HomologySignature, multiplicity: int):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "multiplicity", check_index(multiplicity, "multiplicity", 0))
 
 
-# One table per recursion, keyed ("free", r) or ("surface", nu): the list
-# [a_1, a_2, ...] and the list [M(1), M(2), ...], equally long.
+# Keyed ("free", r) or ("surface", nu), a recursion's [a_1, a_2, ...] and
+# [M(1), M(2), ...], equally long; keyed ("powers", e), [0, 1, 2^e, ...] and [].
 _TABLES: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
 
 
@@ -192,8 +188,11 @@ def _table_count(key: tuple[str, int], m: int, step, call: str, a_m: str) -> int
 
 
 def _free_ratios(k: int, e: int) -> list[int]:
-    # The ratios a_i / a_{i-1} = i^e of a_i = (i!)^e, for i = k down to 2.
-    return [i**e for i in range(k, 1, -1)]
+    # The ratios a_i / a_{i-1} = i^e of a_i = (i!)^e, for i = k down to 2,
+    # sliced from the powers of e, each computed once.
+    powers = _TABLES.setdefault(("powers", e), ([0, 1], []))[0]
+    powers.extend(i**e for i in range(len(powers), k + 1))
+    return powers[k:1:-1]
 
 
 def _free_step(e, k, a, counts):
@@ -297,10 +296,7 @@ def count_orientable_subgroups(p: int, m: int) -> int:
 
 def count_nonorientable_subgroups(p: int, m: int) -> int:
     """Number of non-orientable index-m subgroups of NonOrientableSurface(p)."""
-    count = count_subgroups(NonOrientableSurface(p), m) - count_orientable_subgroups(p, m)
-    if count < 0:
-        raise ConsistencyError(f"orientable subgroup count exceeds total at p={p}, m={m}")
-    return count
+    return NonOrientableSurface(p).split(m)[1]
 
 
 def covering_fiber(kind: GroupKind, m: int) -> list[FiberClass]:

@@ -12,32 +12,37 @@ accumulator is divisible by n before dividing, and a failure means the
 fiber data is wrong.
 """
 
-from dataclasses import dataclass
-
 from .abelian import _epi_count
 from .census import GroupKind, check_kind, count_subgroups
-from .errors import ConsistencyError, check_index
+from .errors import ConsistencyError, Record, check_index
 from .numtheory import _divisors
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Record):
     """Counts at one index: subgroups, conjugacy classes, and for the
     non-orientable family the orientable/non-orientable split."""
 
-    n: int
-    subgroups: int
-    conjugacy_classes: int
-    orientable_subgroups: int | None = None
-    nonorientable_subgroups: int | None = None
+    __slots__ = ("n", "subgroups", "conjugacy_classes",
+                 "orientable_subgroups", "nonorientable_subgroups")
+
+    def __init__(self, n: int, subgroups: int, conjugacy_classes: int,
+                 orientable_subgroups: int | None = None,
+                 nonorientable_subgroups: int | None = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subgroups", subgroups)
+        object.__setattr__(self, "conjugacy_classes", conjugacy_classes)
+        object.__setattr__(self, "orientable_subgroups", orientable_subgroups)
+        object.__setattr__(self, "nonorientable_subgroups", nonorientable_subgroups)
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(Record):
     """Census rows for indices 1..n_max of one group."""
 
-    kind: GroupKind
-    rows: tuple[CensusRow, ...]
+    __slots__ = ("kind", "rows")
+
+    def __init__(self, kind: GroupKind, rows: tuple[CensusRow, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rows", rows)
 
 
 def count_classes(kind: GroupKind, n: int) -> int:

@@ -11,9 +11,8 @@ traceback goes to stderr.
 """
 
 import argparse
-import json
 import sys
-import traceback
+from functools import cache
 
 from .abelian import HomologySignature, epi_count
 from .census import FAMILIES, GroupKind, count_subgroups
@@ -76,6 +75,7 @@ def cmd_table(args) -> int:
         record["N"] = row.conjugacy_classes
         records.append(record)
     if args.format == "json":
+        import json
         print(json.dumps(records, separators=(",", ":")))
     else:
         columns = list(records[0])
@@ -123,6 +123,8 @@ def cmd_epi(args) -> int:
     return 0
 
 
+# Built on the first main call, once: it binds the cmd_* as they are then.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covercount",
@@ -182,6 +184,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except Exception:
+        import traceback
         traceback.print_exc()
         return 3
     finally:

@@ -1,4 +1,4 @@
-"""Exception types and the index check shared across the package."""
+"""Exception types, the index check and the frozen record base."""
 
 
 class ConsistencyError(RuntimeError):
@@ -17,9 +17,6 @@ class ResourceLimitError(RuntimeError):
 def check_index(value, name: str = "n", minimum: int = 1) -> int:
     """Return value if it is an int of at least minimum.
 
-    The default minimum suits a subgroup index or the order of a cyclic
-    group; exponents, ranks and genera pass their own (0 for an exponent
-    nu, 2 for a non-orientable genus).
     bool is refused even though it subclasses int, so count(kind, True)
     cannot pass for index 1.  Every float is refused too, 2.0 included, so
     no count is ever computed in float arithmetic.  An lru_cache'd function
@@ -32,3 +29,33 @@ def check_index(value, name: str = "n", minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
     return value
+
+
+class Record:
+    """Base of the frozen records: a subclass names its fields in __slots__
+    and sets each in __init__ by object.__setattr__.  Records compare, hash,
+    print and pickle by class and fields, in order."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

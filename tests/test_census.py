@@ -1,5 +1,5 @@
 import importlib.util
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from pathlib import Path
 
@@ -347,6 +347,42 @@ def test_orientable_rejects_bad_arguments():
         count_orientable_subgroups(1, 2)
     with pytest.raises(ValueError):
         count_orientable_subgroups(3, 0)
+
+
+def test_split_counts_the_orientable_subgroups_once(monkeypatch):
+    calls = []
+    original = census.count_orientable_subgroups
+
+    def counted(p, m):
+        calls.append((p, m))
+        return original(p, m)
+
+    monkeypatch.setattr(census, "count_orientable_subgroups", counted)
+    kind = NonOrientableSurface(3)
+    for m in range(1, 9):
+        plus, minus = kind.split(m)
+        assert plus + minus == count_subgroups(kind, m)
+    assert calls == [(3, m) for m in range(1, 9)]
+    calls.clear()
+    assert count_nonorientable_subgroups(3, 4) == kind.split(4)[1]
+    assert calls == [(3, 4), (3, 4)]
+
+
+def test_split_refuses_more_orientable_subgroups_than_subgroups(monkeypatch):
+    monkeypatch.setattr(census, "count_orientable_subgroups", lambda p, m: 10**6)
+    for split in (NonOrientableSurface(3).split, partial(count_nonorientable_subgroups, 3)):
+        with pytest.raises(ConsistencyError, match="exceeds total at p=3, m=2"):
+            split(2)
+
+
+def test_free_ratios_slice_one_list_of_powers(cold_recursions):
+    for e in (0, 1, 3):
+        for k in (1, 5, 2, 9, 9):
+            assert census._free_ratios(k, e) == [i**e for i in range(k, 1, -1)]
+    assert census._TABLES[("powers", 3)] == ([0, 1] + [i**3 for i in range(2, 10)], [])
+    # The free recursion extends the list of its exponent to m, no further.
+    free_subgroups(40, 2)
+    assert census._TABLES[("powers", 1)][0] == list(range(41))
 
 
 def test_orientability_split_sums_to_total():

@@ -28,6 +28,14 @@ def test_parse_group_spec():
         assert parse_group_spec(str(kind)) == kind
 
 
+def test_parser_is_built_once(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    for index, out in (("3", "13\n"), ("4", "71\n")):
+        assert run_cli(capsys, "count", "--group", "free:2", "--index", index) == (0, out, "")
+    assert cli.build_parser() is parser
+
+
 def test_count_subgroups(capsys):
     code, out, _ = run_cli(capsys, "count", "--group", "free:2", "--index", "3")
     assert code == 0

@@ -83,8 +83,17 @@ def test_import_count_and_table_leave_the_oracle_unloaded():
 
 
 def test_import_leaves_fractions_and_decimal_unloaded():
-    # All arithmetic is in ints; fractions would also load decimal.
-    probe = "import sys, covercount; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    # All arithmetic is in ints; fractions would also load decimal.  The
+    # records are plain slotted classes: dataclasses would load inspect,
+    # and with it ast, dis and tokenize.
+    unused = {"fractions", "decimal", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+    probe = f"import sys, covercount; print(sorted({unused!r} & set(sys.modules)))"
+    assert run_fresh(probe) == ["[]"]
+
+
+def test_cli_import_leaves_json_and_traceback_unloaded():
+    # Only table --format json and an internal fault need them.
+    probe = "import sys, covercount.cli; print(sorted({'json', 'traceback'} & set(sys.modules)))"
     assert run_fresh(probe) == ["[]"]
 
 
