@@ -24,8 +24,9 @@ without the least-table pruning, which counts M leaf by leaf.
 
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  A search that visits more than NODE_LIMIT
-nodes stops with ResourceLimitError rather than run for minutes, and nothing
-is ever silently truncated or cached.
+nodes stops with ResourceLimitError rather than run for minutes; nothing is
+ever silently truncated.  Finished searches are cached per (relation,
+generators, index), and a refused search leaves no cache entry.
 """
 
 from functools import lru_cache

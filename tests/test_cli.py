@@ -1,7 +1,9 @@
 import contextlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +336,7 @@ def test_unknown_arguments_exit_two():
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "covercount", "count", "--group", "free:2", "--index", "4"],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
         capture_output=True,
         text=True,
     )
