@@ -81,21 +81,17 @@ def cpus():
     os.sched_setaffinity(0, cpus)
 
 
-def test_main_reports_each_case_and_exits_on_disagreement(bench, cpus, monkeypatch, capsys):
-    pycache = bench.PACKAGE / "__pycache__"
-    before = sorted(pycache.glob("*"))
-    cases = bench.CASES[:2] + [
-        ("beta k <= 5", "bytecode", bench.BETA, (5,)),
-        ("free (10, 2)", "source", bench.FREE, (10, 2)),
-    ]
+def report(bench, monkeypatch, capsys, cases):
+    """main's output lines for cases, checked to give one line per case."""
     monkeypatch.setattr(bench, "CASES", cases)
     bench.main(["--repeats", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[1:-1]] == [label for label, *_ in cases]
     assert all(": raw median " in line and "; scaled " in line for line in lines[1:-1])
-    assert " covercount.census " in lines[-1] and "covercount.oracle" not in lines[-1]
-    assert sorted(pycache.glob("*")) == before
+    return lines
 
+
+def assert_exits_on_disagreement(bench, monkeypatch):
     count = itertools.count()
 
     def differing(snippet, path, args):
@@ -104,5 +100,27 @@ def test_main_reports_each_case_and_exits_on_disagreement(bench, cpus, monkeypat
     monkeypatch.setattr(bench, "run_once", differing)
     with pytest.raises(SystemExit, match="disagree"):
         bench.main(["--repeats", "2"])
+
+
+def test_main_reports_both_series_and_the_modules(bench, cpus, monkeypatch, capsys):
+    pycache = bench.PACKAGE / "__pycache__"
+    before = sorted(pycache.glob("*"))
+    lines = report(bench, monkeypatch, capsys, bench.CASES[:2])
+    assert " covercount.census " in lines[-1] and "covercount.oracle" not in lines[-1]
+    assert sorted(pycache.glob("*")) == before
     with pytest.raises(SystemExit):
         bench.main(["--repeats", "1"])
+
+
+def test_main_reports_each_bound_and_exits_on_disagreement(bench, cpus, monkeypatch, capsys):
+    cases = [("beta k <= 4", "bytecode", bench.BETA, (4,)),
+             ("beta k <= 5", "source", bench.BETA, (5,))]
+    report(bench, monkeypatch, capsys, cases)
+    assert_exits_on_disagreement(bench, monkeypatch)
+
+
+def test_main_reports_each_case_and_exits_on_disagreement(bench, cpus, monkeypatch, capsys):
+    cases = [("free (10, 2)", "source", bench.FREE, (10, 2)),
+             ("free (12, 3)", "bytecode", bench.FREE, (12, 3))]
+    report(bench, monkeypatch, capsys, cases)
+    assert_exits_on_disagreement(bench, monkeypatch)
