@@ -1,14 +1,20 @@
+import importlib.util
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covercount.abelian import HomologySignature
 from covercount.census import (
+    FAMILIES,
     FiberClass,
     Free,
     GroupKind,
     NonOrientableSurface,
     OrientableSurface,
+    count_subgroups,
     covering_fiber,
 )
 from covercount import classes
@@ -171,3 +177,55 @@ def test_class_counts_reject_bool_and_non_int_indices():
             count_classes(Free(2), bad)
         with pytest.raises(TypeError):
             census_table(Free(2), bad)
+
+
+EULER_TRANSFORM = Path(__file__).resolve().parent / "euler_transform.py"
+
+
+@pytest.fixture(scope="module")
+def euler_transform():
+    spec = importlib.util.spec_from_file_location("euler_transform", EULER_TRANSFORM)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "r, n_max", [(1, 60), (2, 400), (3, 250), (4, 60), (5, 60), (6, 300)],
+    ids=["free-1-60", "free-2-400", "free-3-250", "free-4-60", "free-5-60", "free-6-300"],
+)
+def test_free_class_columns_match_the_euler_transform(euler_transform, r, n_max):
+    # The whole N column of each free-deep table, and of the other ranks to
+    # n = 60, against a route that shares nothing with the class driver.
+    table = census_table(Free(r), n_max)
+    assert [row.conjugacy_classes for row in table.rows] == euler_transform.class_counts(n_max, r)
+
+
+# Each family with the parameters and the largest n_max the property draws:
+# the formula routes stay cheap up to n = 20 on the surface families.
+FAMILY_RANGES = {"free": (range(1, 5), 40), "orient": (range(1, 4), 20),
+                 "nonorient": (range(2, 6), 20)}
+
+
+@st.composite
+def kinds_and_bounds(draw):
+    prefix = draw(st.sampled_from(sorted(FAMILY_RANGES)))
+    parameters, top = FAMILY_RANGES[prefix]
+    return FAMILIES[prefix](draw(st.sampled_from(parameters))), draw(st.integers(1, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds_and_bounds())
+def test_table_rows_equal_the_one_index_counts(kind_and_bound):
+    kind, n_max = kind_and_bound
+    table = census_table(kind, n_max)
+    assert [row.n for row in table.rows] == list(range(1, n_max + 1))
+    for row in table.rows:
+        n, split = row.n, kind.split(row.n)
+        assert row.subgroups == count_subgroups(kind, n)
+        assert row.conjugacy_classes == count_classes(kind, n)
+        assert (row.orientable_subgroups, row.nonorientable_subgroups) == (split or (None, None))
+        assert row.conjugacy_classes <= row.subgroups <= n * row.conjugacy_classes
+        if split is not None:
+            assert split[0] + split[1] == row.subgroups
+            assert n % 2 == 0 or split[0] == 0
