@@ -15,15 +15,18 @@ Every timed run sets PYTHONDONTWRITEBYTECODE=1.  The cases, in CASES:
   beta       beta(k, nu) for nu in NUS and every k up to 28, and up to 40;
   free       free_subgroups(m, r) with empty tables, so the whole table
              M(1), ..., M(m) is built, at (400, 2), (250, 3) and (300, 6),
-             the deepest free-group calls of perfbench's free-deep workload.
+             the deepest free-group calls of perfbench's free-deep workload;
+  table      census_table(Free(r), m) at (400, 2), cold, so both the
+             recursion and the class counts of every row run.
 
 Each child prints one JSON line: when its timed job started on the
 time.perf_counter() clock (the same clock in every process), how long the
 job took, its peak RSS (ru_maxrss) and a sha256 of repr(values): the beta
-values, the list M(1), ..., M(m), or the sorted modules the import loaded
-beyond those of a bare interpreter.  Every run of a case must give the same
-digest, so a change that alters a value cannot pass as a speed-up.  In each
-repeat every case runs once, in turn, so slow drift hits all cases alike.
+values, the list M(1), ..., M(m), the table's column N(1), ..., N(m), or
+the sorted modules the import loaded beyond those of a bare interpreter.
+Every run of a case must give the same digest, so a change that alters a
+value cannot pass as a speed-up.  In each repeat every case runs once, in
+turn, so slow drift hits all cases alike.
 
 Times are taken as perfbench/run.py takes them: the harness pins itself,
 and so every child, to one CPU and keeps perfbench's speed probe running
@@ -78,6 +81,15 @@ free_subgroups(m, r)
 seconds = time.perf_counter() - start
 values = [free_subgroups(k, r) for k in range(1, m + 1)]
 """
+TABLE = """
+from covercount.census import Free
+from covercount.classes import census_table
+m, r = int(sys.argv[1]), int(sys.argv[2])
+start = time.perf_counter()
+table = census_table(Free(r), m)
+seconds = time.perf_counter() - start
+values = [row.conjugacy_classes for row in table.rows]
+"""
 REPORT = """
 import hashlib, json, resource
 print(json.dumps({
@@ -97,6 +109,7 @@ CASES = [
     ("free (400, 2)", "bytecode", FREE, (400, 2)),
     ("free (250, 3)", "bytecode", FREE, (250, 3)),
     ("free (300, 6)", "bytecode", FREE, (300, 6)),
+    ("census_table (400, 2)", "bytecode", TABLE, (400, 2)),
 ]
 
 

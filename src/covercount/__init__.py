@@ -14,7 +14,6 @@ from .census import (
     count_subgroups,
     covering_fiber,
     free_subgroups,
-    r_nu_closed,
     r_nu_recursive,
 )
 from .characters import beta, hook_product, hook_spectrum, partitions
@@ -76,6 +75,5 @@ __all__ = [
     "oracle_epi_count",
     "oracle_orientable_split",
     "partitions",
-    "r_nu_closed",
     "r_nu_recursive",
 ]

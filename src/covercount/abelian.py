@@ -10,7 +10,7 @@ follow by Mobius inversion over the divisors of the target order.
 from math import gcd
 
 from .errors import ConsistencyError, Record, check_index
-from .numtheory import _divisors, _mobius
+from .numtheory import _divisor_table
 
 
 class HomologySignature(Record):
@@ -49,13 +49,18 @@ def epi_count(signature: HomologySignature, ell: int) -> int:
     Mobius inversion of hom_count over the divisors of ell.  The result is
     a count, so a negative total indicates a bug and raises.
     """
-    return _epi_count(signature, check_index(ell, "ell"))
+    divisors, mobius = _divisor_table((check_index(ell, "ell"),))
+    return _epi_count(signature, ell, divisors[ell], mobius)
 
 
-def _epi_count(signature: HomologySignature, ell: int) -> int:
-    # Unchecked, as are the helpers it calls: for an ell that count_classes
-    # derived from a checked n.
-    total = sum(_mobius(ell // d) * _hom_count(signature, d) for d in _divisors(ell))
+def _epi_count(signature: HomologySignature, ell: int, divisors, mobius) -> int:
+    # Unchecked, fed the divisors of ell and a table of mobius over them:
+    # the class driver takes both from one divisor table for all its ell.
+    total = 0
+    for d in divisors:
+        mu = mobius[ell // d]
+        if mu:
+            total += mu * _hom_count(signature, d)
     if total < 0:
         raise ConsistencyError(f"negative epimorphism count {total} for {signature} onto Z_{ell}")
     return total

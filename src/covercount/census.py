@@ -33,10 +33,7 @@ a_k / a_{k-1} = k^(r-1); consecutive beta have no integer ratio.  Each
 recursion extends its table of a_k and M(k) (_TABLES) one k at a time.
 Every new M(k), M(1) included, must satisfy 1 <= M(k) <= k * a_k: the
 index-k subgroups number at most |Hom(G, S_k)| / (k-1)!, and at least one,
-since every supported group maps onto Z.  r_nu_closed implements the
-equivalent inclusion-exclusion over compositions in integers, over the
-common denominator lcm(1, ..., m), and is kept as an independent route for
-cross-checking.
+since every supported group maps onto Z.
 
 An index-m subgroup is again a free or surface group, with rank or genus
 given by the Riemann-Hurwitz relations.  covering_fiber records, for each
@@ -48,7 +45,6 @@ count_orientable_subgroups) and non-orientable ones.
 """
 
 from functools import lru_cache, partial
-from math import lcm
 from operator import mul
 
 from .abelian import HomologySignature
@@ -225,48 +221,9 @@ def _surface_step(nu, k, a, counts):
     return beta(k, nu), sum(map(mul, reversed(a), counts))
 
 
-def _composition_sums(m: int, nu: int):
-    # For s = 1, ..., m: the sum of beta(i_1, nu) * ... * beta(i_s, nu) over
-    # all ordered ways to write m = i_1 + ... + i_s with every part >= 1.
-    # row[j] holds that sum for j in place of m and the current s; the next
-    # row takes off the first part, so the whole walk costs O(m^3).
-    betas = [0] + [beta(i, nu) for i in range(1, m + 1)]
-    row = betas
-    for s in range(1, m + 1):
-        yield row[m]
-        row = [0] * (s + 1) + [
-            sum(betas[first] * row[j - first] for first in range(1, j - s + 1))
-            for j in range(s + 1, m + 1)
-        ]
-
-
-def r_nu_closed(m: int, nu: int) -> int:
-    """Closed-form surface subgroup count: inclusion-exclusion over compositions.
-
-        R(m) = m * sum_{s=1}^{m} (-1)^(s+1)/s *
-               sum_{i_1+...+i_s=m} beta(i_1, nu) ... beta(i_s, nu)
-
-    Evaluated in integers over the common denominator lcm(1, ..., m); the
-    total provably reduces to an integer, and a remainder raises.  The
-    composition sums are tabulated afresh on every call, so the result
-    shares nothing with r_nu_recursive but the beta values.
-    """
-    check_index(m, "m")
-    check_index(nu, "nu", minimum=0)
-    denominator = lcm(*range(1, m + 1))
-    numerator = 0
-    for s, composition_sum in enumerate(_composition_sums(m, nu), start=1):
-        term = denominator // s * composition_sum
-        numerator += term if s % 2 == 1 else -term
-    total, rem = divmod(m * numerator, denominator)
-    if rem:
-        raise ConsistencyError(f"r_nu_closed({m}, {nu}) does not reduce to an integer")
-    return total
-
-
 @lru_cache(maxsize=None, typed=True)
 def r_nu_recursive(m: int, nu: int) -> int:
-    """Surface subgroup count by the beta recursion (same value as r_nu_closed)."""
+    """Surface subgroup count by the recursion of the module docstring, a_k = beta(k, nu)."""
     check_index(m, "m")
     check_index(nu, "nu", minimum=0)
     return _table_count(

@@ -32,7 +32,7 @@ first-column hook lengths h_i = parts[i] + len(parts) - 1 - i,
     H = prod_i h_i! / prod_{i<j} (h_i - h_j).
 
 They share no code with the branching rule, so the tests check every
-spectrum against them, as r_nu_closed checks the surface recursion.
+spectrum against them.
 """
 
 from collections import Counter

@@ -7,15 +7,17 @@ ell (weighted by multiplicity) yields exactly n * N(n).  Only the
 abelianisation of each subgroup enters, which is what the family record's
 fiber(m) provides.
 
-count_classes is that driver for every family; it verifies that the
-accumulator is divisible by n before dividing, and a failure means the
-fiber data is wrong.
+Over all n this sum is a Dirichlet convolution, so one driver serves a
+set of target indices: count_classes asks it for {n}, census_table for
+1..n_max.  It builds each fiber once per m, takes divisors and Mobius
+values for every target from one divisor table, and checks each total is
+divisible by n before dividing; a failure means the fiber data is wrong.
 """
 
 from .abelian import _epi_count
 from .census import GroupKind, check_kind, count_subgroups
 from .errors import ConsistencyError, Record, check_index
-from .numtheory import _divisors
+from .numtheory import _divisor_table
 
 
 class CensusRow(Record):
@@ -46,25 +48,31 @@ class CensusTable(Record):
 
 
 def count_classes(kind: GroupKind, n: int) -> int:
-    """Conjugacy classes of index-n subgroups of the given group.
+    """Conjugacy classes of index-n subgroups of the given group."""
+    return _class_counts(kind, (check_index(n),))[0]
 
-    Sums, over every divisor ell of n, the epimorphisms onto the cyclic
-    group of order ell from the index-n/ell subgroups, as kind.fiber
-    gives them.  The total must come out divisible by n; if not, the fiber
-    data is inconsistent and this raises.
-    """
-    check_index(n)
+
+def _class_counts(kind: GroupKind, targets) -> list[int]:
+    # N(n) for each n of targets, by the sum of the module docstring.
     check_kind(kind)
-    # Each ell divides the checked n and the kind is checked: ask the record,
-    # not covering_fiber, which would check both again for every divisor.
-    acc = 0
-    for ell in _divisors(n):
-        for fiber in kind.fiber(n // ell):
-            acc += fiber.multiplicity * _epi_count(fiber.signature, ell)
-    count, rem = divmod(acc, n)
-    if rem:
-        raise ConsistencyError(f"epimorphism total {acc} not divisible by n = {n}")
-    return count
+    divisors, mobius = _divisor_table(targets)
+    fibers = {}
+    counts = []
+    for n in targets:
+        acc = 0
+        for ell in divisors[n]:
+            m = n // ell
+            if m not in fibers:
+                # The kind is checked and m divides a checked n: ask the
+                # record, not covering_fiber, which would check both again.
+                fibers[m] = kind.fiber(m)
+            for fiber in fibers[m]:
+                acc += fiber.multiplicity * _epi_count(fiber.signature, ell, divisors[ell], mobius)
+        count, rem = divmod(acc, n)
+        if rem:
+            raise ConsistencyError(f"epimorphism total {acc} not divisible by n = {n}")
+        counts.append(count)
+    return counts
 
 
 def _check_row(row: CensusRow) -> None:
@@ -78,12 +86,10 @@ def _check_row(row: CensusRow) -> None:
 
 def census_table(kind: GroupKind, n_max: int) -> CensusTable:
     """Census rows for n = 1..n_max, with the split for non-orientable groups."""
-    check_index(n_max, "n_max")
+    targets = range(1, check_index(n_max, "n_max") + 1)
     rows = []
-    for n in range(1, n_max + 1):
-        row = CensusRow(
-            n, count_subgroups(kind, n), count_classes(kind, n), *(kind.split(n) or ())
-        )
+    for n, classes in zip(targets, _class_counts(kind, targets)):
+        row = CensusRow(n, count_subgroups(kind, n), classes, *(kind.split(n) or ()))
         _check_row(row)
         rows.append(row)
     return CensusTable(kind, tuple(rows))

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from covercount.abelian import HomologySignature, epi_count, hom_count
+from covercount.abelian import HomologySignature, _epi_count, epi_count, hom_count
+from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors, euler_phi, mobius
 
 
@@ -110,3 +111,10 @@ def test_epi_count_matches_direct_mobius_sums():
                 mobius(ell // d) * gcd(2, d) * d**rank for d in divisors(ell)
             )
             assert epi_count(with_two, ell) == expected_two
+
+
+def test_a_negative_epimorphism_total_raises():
+    # The helper sums what it is fed: a wrong Mobius table, mu(1) = -1 and
+    # mu(2) = 1, gives -hom(2) + hom(1) = -1 for Z onto Z_2.
+    with pytest.raises(ConsistencyError, match="negative epimorphism count -1"):
+        _epi_count(HomologySignature((), 1), 2, [1, 2], {1: -1, 2: 1})

@@ -17,7 +17,6 @@ from covercount.census import (
     count_nonorientable_subgroups,
     count_orientable_subgroups,
     count_subgroups,
-    r_nu_closed,
     r_nu_recursive,
 )
 from covercount.characters import beta, hook_product, partitions
@@ -30,6 +29,7 @@ from covercount.oracle import (
     oracle_orientable_split,
 )
 
+from test_census import r_nu_closed
 from test_classes import _inline_count_classes
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from covercount.census import free_subgroups
+from covercount.census import Free, free_subgroups
 from covercount.characters import beta
+from covercount.classes import census_table
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_cold.py"
 NUS = (0, 1, 2, 3, 4, 6)
@@ -38,6 +39,10 @@ def free_values(m, r):
     return [free_subgroups(k, r) for k in range(1, m + 1)]
 
 
+def table_values(m, r):
+    return [row.conjugacy_classes for row in census_table(Free(r), m).rows]
+
+
 @pytest.mark.parametrize(
     "values, args, expected",
     [
@@ -45,16 +50,18 @@ def free_values(m, r):
         (free_values, (400, 2), "053c1826b7a14b1186617cb3fa64882ae900e4583a1f71a41d2011a5302313ae"),
         (free_values, (250, 3), "b9ff846cd748e59178d29ef5361c946f3a2b741122c20c499401311c9138f828"),
         (free_values, (300, 6), "bbde71eaf404cabcf0f839f606dc03c56a6381c60e470f0ce13628c24c326304"),
+        (table_values, (400, 2), "3349f68fe6babc3d97a320578a56b81aa96b290ca6d9f06b2000554e3cd39758"),
     ],
-    ids=["beta-28", "free-400-2", "free-250-3", "free-300-6"],
+    ids=["beta-28", "free-400-2", "free-250-3", "free-300-6", "table-400-2"],
 )
 def test_benchmark_digests_are_pinned(values, args, expected):
     assert digest(values(*args)) == expected
 
 
 @pytest.mark.parametrize(
-    "snippet, values, args", [("BETA", beta_values, (6,)), ("FREE", free_values, (12, 3))],
-    ids=["beta", "free"],
+    "snippet, values, args",
+    [("BETA", beta_values, (6,)), ("FREE", free_values, (12, 3)), ("TABLE", table_values, (12, 3))],
+    ids=["beta", "free", "table"],
 )
 def test_child_digest_is_the_value_list(bench, snippet, values, args):
     record = bench.run_once(getattr(bench, snippet), bench.PACKAGE.parent, args)

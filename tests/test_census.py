@@ -21,12 +21,24 @@ from covercount.census import (
     count_subgroups,
     covering_fiber,
     free_subgroups,
-    r_nu_closed,
     r_nu_recursive,
 )
 from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors
 from covercount.oracle import _presentation
+
+
+def _load_reference(name):
+    # A test-side reference module next to this file, loaded by path.
+    path = Path(__file__).resolve().parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+closed = _load_reference("r_nu_closed")
+r_nu_closed = closed.r_nu_closed
 
 
 def _sigma(n):
@@ -313,7 +325,7 @@ def test_r_nu_closed_examples():
 def test_r_nu_closed_raises_on_a_remainder(monkeypatch):
     # With 5 in place of lcm(1..4) = 12 the quotients 5 // s are no longer
     # exact, and the total 4 * numerator leaves a remainder mod 5.
-    monkeypatch.setattr(census, "lcm", lambda *args: 5)
+    monkeypatch.setattr(closed, "lcm", lambda *args: 5)
     with pytest.raises(ConsistencyError, match=r"r_nu_closed\(4, 2\)"):
         r_nu_closed(4, 2)
 
@@ -438,15 +450,9 @@ def test_covering_fiber_rejects_zero_index():
         covering_fiber(Free(2), 0)
 
 
-DOT_PRODUCT = Path(__file__).resolve().parent / "free_dot_product.py"
-
-
 @pytest.fixture(scope="module")
 def dot_product():
-    spec = importlib.util.spec_from_file_location("free_dot_product", DOT_PRODUCT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_reference("free_dot_product")
 
 
 def test_free_tables_match_the_dot_product_reference(dot_product, cold_recursions):

@@ -116,10 +116,29 @@ def test_driver_checks_its_kind_once_and_asks_the_record(monkeypatch):
     calls = []
     real = classes.check_kind
     monkeypatch.setattr(classes, "check_kind", lambda kind: calls.append(kind) or real(kind))
+    built = []
+
+    def counted(fiber):
+        return lambda self, m: built.append(m) or fiber(self, m)
+
+    for family in FAMILIES.values():
+        monkeypatch.setattr(family, "fiber", counted(family.fiber))
     for kind in (Free(2), OrientableSurface(2), NonOrientableSurface(3)):
+        expected = _inline_count_classes(kind, 12)
         calls.clear()
-        assert count_classes(kind, 12) == _inline_count_classes(kind, 12)
+        built.clear()
+        assert count_classes(kind, 12) == expected
         assert calls == [kind]
+        assert sorted(built) == divisors(12)
+        calls.clear()
+        built.clear()
+        assert census_table(kind, 12).rows[-1].conjugacy_classes == expected
+        assert calls == [kind]
+        assert sorted(built) == list(range(1, 13))
+    # One fiber per m for a whole free-deep table, not one per divisor pair.
+    built.clear()
+    census_table(Free(2), 400)
+    assert sorted(built) == list(range(1, 401))
 
 
 def test_generic_driver_refuses_a_float_multiplicity():

@@ -21,7 +21,6 @@ from covercount.census import (
     count_orientable_subgroups,
     covering_fiber,
     free_subgroups,
-    r_nu_closed,
     r_nu_recursive,
 )
 from covercount.characters import beta, hook_spectrum, partitions
@@ -29,6 +28,8 @@ from covercount.classes import count_classes
 from covercount.errors import check_index
 from covercount.numtheory import divisors, euler_phi, mobius
 from covercount.oracle import oracle_epi_count
+
+from test_census import r_nu_closed
 
 CACHED = (free_subgroups, r_nu_recursive, beta, hook_spectrum)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from covercount.numtheory import divisors, euler_phi, mobius
+from covercount.numtheory import _divisor_table, divisors, euler_phi, mobius
 
 
 def test_divisors_examples():
@@ -56,3 +56,18 @@ def test_euler_phi_divisor_sum_is_n():
     for n in range(1, 1001):
         assert sum(euler_phi(d) for d in divisors(n)) == n
 
+
+
+def test_divisor_table_of_a_range_is_one_sieve():
+    table, mu = _divisor_table(range(1, 201))
+    assert len(table) == len(mu) == 201
+    assert table[1:] == [divisors(k) for k in range(1, 201)]
+    assert mu[1:] == [mobius(k) for k in range(1, 201)]
+
+
+def test_divisor_table_of_one_target_covers_only_its_divisors():
+    # No sieve up to n: one index n gets the divisors of n and nothing else.
+    for n in (1, 12, 97, 300):
+        table, mu = _divisor_table((n,))
+        assert sorted(table) == sorted(mu) == divisors(n)
+        assert all(table[k] == divisors(k) and mu[k] == mobius(k) for k in table)

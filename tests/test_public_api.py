@@ -9,9 +9,9 @@ import sys
 from pathlib import Path
 
 import covercount
-from covercount import characters, classes, numtheory
+from covercount import census, characters, classes, numtheory
 
-# Deleted names, with the module that used to define each.
+# Deleted or moved names, with the module that used to define each.
 REMOVED = {
     "Partition": characters,
     "degree": characters,
@@ -19,6 +19,8 @@ REMOVED = {
     "divisor_pairs": numtheory,
     "gcd": numtheory,
     "count_classes_generic": classes,
+    "r_nu_closed": census,
+    "_composition_sums": census,
 }
 
 
