@@ -16,10 +16,10 @@ from .census import (
     free_subgroups,
     r_nu_recursive,
 )
-from .characters import beta, hook_product, hook_spectrum, partitions
+from .characters import beta, hook_spectrum
 from .classes import CensusRow, CensusTable, census_table, count_classes
 from .errors import ConsistencyError, ResourceLimitError
-from .numtheory import divisors, euler_phi, mobius
+from .numtheory import divisors, mobius
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ _ORACLE_NAMES = frozenset(
         "kernel_backend",
         "oracle_count_classes",
         "oracle_count_subgroups",
-        "oracle_epi_count",
         "oracle_orientable_split",
     }
 )
@@ -63,17 +62,13 @@ __all__ = [
     "covering_fiber",
     "divisors",
     "epi_count",
-    "euler_phi",
     "free_subgroups",
     "hom_count",
-    "hook_product",
     "hook_spectrum",
     "kernel_backend",
     "mobius",
     "oracle_count_classes",
     "oracle_count_subgroups",
-    "oracle_epi_count",
     "oracle_orientable_split",
-    "partitions",
     "r_nu_recursive",
 ]

@@ -1,4 +1,4 @@
-"""Integer partitions, their hook products, and beta sums.
+"""Hook products of the partitions of k, and beta sums.
 
 A partition of k is a weakly decreasing tuple of positive parts adding up to
 k.  It labels an irreducible character of the symmetric group S_k, of degree
@@ -24,15 +24,6 @@ cell is a set bit j of w & ~(w >> 1), an up step followed by a right step,
 and swapping the two, w ^ (3 << j), adds that cell.  Each level is checked
 against Frobenius' identity, the sum of f^2 is k!, and each k! / f must be
 exact; either failure raises ConsistencyError.
-
-partitions and hook_product stay as the per-partition route: partitions(k)
-lists the partitions of k, and hook_product(parts) needs only the
-first-column hook lengths h_i = parts[i] + len(parts) - 1 - i,
-
-    H = prod_i h_i! / prod_{i<j} (h_i - h_j).
-
-They share no code with the branching rule, so the tests check every
-spectrum against them.
 """
 
 from collections import Counter
@@ -40,61 +31,6 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import ConsistencyError, check_index
-
-
-def partitions(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k, as tuples of parts, in lexicographically decreasing order.
-
-    Starts with the single-row partition (k) and ends with the single-column
-    partition (1, ..., 1).
-    """
-    check_index(k, "k")
-    out = []
-    prefix: list[int] = []
-
-    def descend(remaining, cap):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            prefix.append(part)
-            descend(remaining - part, part)
-            prefix.pop()
-
-    descend(k, k)
-    return out
-
-
-def hook_product(parts) -> int:
-    """Product of the hook lengths over all cells of the Young diagram.
-
-    parts is a partition: a nonempty, weakly decreasing sequence of positive
-    integers; anything else raises ValueError.  The product equals k!
-    divided by the character degree, so it is always a positive integer.
-    It is computed from the first-column hook lengths (see the module
-    docstring); the division must be exact, and a remainder raises
-    ConsistencyError.
-    """
-    length = len(parts)
-    if not length:
-        raise ValueError("a partition needs at least one part")
-    firsts = []
-    previous = parts[0]
-    for i, part in enumerate(parts):
-        if part > previous or part < 1:
-            raise ValueError(f"parts must be positive and weakly decreasing, got {tuple(parts)}")
-        firsts.append(part + length - 1 - i)
-        previous = part
-    numerator = 1
-    vandermonde = 1
-    for i, h in enumerate(firsts):
-        numerator *= factorial(h)
-        for lower in firsts[i + 1 :]:
-            vandermonde *= h - lower
-    product, rem = divmod(numerator, vandermonde)
-    if rem:
-        raise ConsistencyError(f"first-column hook formula is not integral for {tuple(parts)}")
-    return product
 
 
 @lru_cache(maxsize=1)
@@ -130,9 +66,7 @@ def hook_spectrum(k: int) -> tuple[tuple[int, int], ...]:
     partitions of k.  The degrees f come from _degrees(k), which builds
     them by the branching rule from the degrees of the partitions of k - 1,
     keyed by boundary word (see the module docstring); each hook product
-    is k! / f, and a remainder raises ConsistencyError.  partitions and
-    hook_product are not called: they are the independent route the tests
-    check this one against.
+    is k! / f, and a remainder raises ConsistencyError.
     """
     check_index(k, "k")
     total = factorial(k)

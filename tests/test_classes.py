@@ -220,6 +220,22 @@ def test_free_class_columns_match_the_euler_transform(euler_transform, r, n_max)
     assert [row.conjugacy_classes for row in table.rows] == euler_transform.class_counts(n_max, r)
 
 
+@pytest.mark.parametrize(
+    "kind, n_max",
+    [(Free(2), 20), (OrientableSurface(1), 20), (OrientableSurface(2), 16),
+     (OrientableSurface(3), 12), (NonOrientableSurface(2), 20),
+     (NonOrientableSurface(3), 16), (NonOrientableSurface(5), 12)],
+    ids=str,
+)
+def test_class_columns_match_the_burnside_route(euler_transform, kind, n_max):
+    # The surfaces beyond the oracle's reach: the route shares only the
+    # covering fibers with the class driver's Mobius and epimorphism step.
+    table = census_table(kind, n_max)
+    assert [row.conjugacy_classes for row in table.rows] == euler_transform.fiber_class_counts(
+        kind, n_max
+    )
+
+
 # Each family with the parameters and the largest n_max the property draws:
 # the formula routes stay cheap up to n = 20 on the surface families.
 FAMILY_RANGES = {"free": (range(1, 5), 40), "orient": (range(1, 4), 20),

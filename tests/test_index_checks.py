@@ -23,13 +23,17 @@ from covercount.census import (
     free_subgroups,
     r_nu_recursive,
 )
-from covercount.characters import beta, hook_spectrum, partitions
+from covercount.characters import beta, hook_spectrum
 from covercount.classes import count_classes
 from covercount.errors import check_index
-from covercount.numtheory import divisors, euler_phi, mobius
-from covercount.oracle import oracle_epi_count
+from covercount.numtheory import divisors, mobius
 
-from test_census import r_nu_closed
+from test_census import _load_reference, r_nu_closed
+
+partitions = _load_reference("partition_reference").partitions
+epi_reference = _load_reference("epi_reference")
+euler_phi = epi_reference.euler_phi
+oracle_epi_count = epi_reference.oracle_epi_count
 
 CACHED = (free_subgroups, r_nu_recursive, beta, hook_spectrum)
 
