@@ -30,7 +30,8 @@ with nu the Euler-characteristic exponent (2g - 2 orientable, p - 2
 non-orientable); r_nu_recursive feeds beta to the recursion.  Only the
 free sum is taken by Horner's rule, over the small ratios
 a_k / a_{k-1} = k^(r-1); consecutive beta have no integer ratio.  Each
-recursion extends its table of a_k and M(k) (_TABLES) one k at a time.
+recursion extends its table of a_k and M(k) (_TABLES) one k at a time, and
+the table is its only memo: a count already in it is read, not recomputed.
 Every new M(k), M(1) included, must satisfy 1 <= M(k) <= k * a_k: the
 index-k subgroups number at most |Hom(G, S_k)| / (k-1)!, and at least one,
 since every supported group maps onto Z.
@@ -44,7 +45,6 @@ group split into orientable ones (which exist only for even m, counted by
 count_orientable_subgroups) and non-orientable ones.
 """
 
-from functools import lru_cache, partial
 from operator import mul
 
 from .abelian import HomologySignature
@@ -167,13 +167,13 @@ _TABLES: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
 def _table_count(key: tuple[str, int], m: int, step, call: str, a_m: str) -> int:
     # M(m) from the table of key, extended up to m by
     #     M(k) = k * a_k - sum_{j=1}^{k-1} a_{k-j} * M(j),
-    # with step(k, a, counts) = (a_k, the sum).  Each new M(k) must lie in
+    # with step(key[1], k, a, counts) = (a_k, the sum).  Each new M(k) must lie in
     # [1, k * a_k]; call and a_m name the public function and its a_m in the
     # error raised when it does not.  Both lists grow only after the check,
     # so a failed step leaves the table as it was.
     a, counts = _TABLES.setdefault(key, ([], []))
     for k in range(len(counts) + 1, m + 1):
-        a_k, convolution = step(k, a, counts)
+        a_k, convolution = step(key[1], k, a, counts)
         bound = k * a_k
         total = bound - convolution
         if not 1 <= total <= bound:
@@ -191,17 +191,16 @@ def _free_ratios(k: int, e: int) -> list[int]:
     return powers[k:1:-1]
 
 
-def _free_step(e, k, a, counts):
-    # a_k = a_{k-1} * k^e, and the sum by Horner's rule:
+def _free_step(r, k, a, counts):
+    # a_k = a_{k-1} * k^e with e = r - 1, and the sum by Horner's rule:
     #     M(k-1) + 2^e * (M(k-2) + 3^e * (M(k-3) + ... + (k-1)^e * M(1))).
-    ratios = _free_ratios(k, e)
+    ratios = _free_ratios(k, r - 1)
     acc = 0
     for ratio, count in zip(ratios, counts):
         acc = acc * ratio + count
     return a[-1] * ratios[0] if a else 1, acc
 
 
-@lru_cache(maxsize=None, typed=True)
 def free_subgroups(m: int, r: int) -> int:
     """Number of index-m subgroups of the free group of rank r.
 
@@ -212,23 +211,18 @@ def free_subgroups(m: int, r: int) -> int:
     """
     check_index(m, "m")
     check_index(r, "r")
-    return _table_count(
-        ("free", r), m, partial(_free_step, r - 1), "free_subgroups", "(m!)^(r-1)"
-    )
+    return _table_count(("free", r), m, _free_step, "free_subgroups", "(m!)^(r-1)")
 
 
 def _surface_step(nu, k, a, counts):
     return beta(k, nu), sum(map(mul, reversed(a), counts))
 
 
-@lru_cache(maxsize=None, typed=True)
 def r_nu_recursive(m: int, nu: int) -> int:
     """Surface subgroup count by the recursion of the module docstring, a_k = beta(k, nu)."""
     check_index(m, "m")
     check_index(nu, "nu", minimum=0)
-    return _table_count(
-        ("surface", nu), m, partial(_surface_step, nu), "r_nu_recursive", "beta(m, nu)"
-    )
+    return _table_count(("surface", nu), m, _surface_step, "r_nu_recursive", "beta(m, nu)")
 
 
 def count_subgroups(kind: GroupKind, m: int) -> int:

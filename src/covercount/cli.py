@@ -94,14 +94,14 @@ def cmd_verify(args) -> int:
     # over the node limit is refused before any line is printed.
     oracle.oracle_count_subgroups(kind, n_max)
     failures = 0
-    for n in range(1, n_max + 1):
-        checks = [
-            ("M", count_subgroups(kind, n), oracle.oracle_count_subgroups(kind, n)),
-        ]
-        split = kind.split(n)
-        if split is not None:
+    # The formula side is the rows that table prints, from one pass.
+    for row in census_table(kind, n_max).rows:
+        n = row.n
+        checks = [("M", row.subgroups, oracle.oracle_count_subgroups(kind, n))]
+        if row.orientable_subgroups is not None:
+            split = row.orientable_subgroups, row.nonorientable_subgroups
             checks += zip(("M+", "M-"), split, oracle.oracle_orientable_split(kind.genus, n))
-        checks.append(("N", count_classes(kind, n), oracle.oracle_count_classes(kind, n)))
+        checks.append(("N", row.conjugacy_classes, oracle.oracle_count_classes(kind, n)))
         fields = []
         ok = True
         for label, formula, brute in checks:

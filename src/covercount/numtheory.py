@@ -2,8 +2,7 @@
 
 Everything here works on plain Python integers.  One index is factored by
 trial division; a whole range of indices gets its divisors and Mobius
-values from one sieve (_divisor_table).  The gcd is the standard library's
-math.gcd, called directly.
+values from one sieve (_divisor_table).
 """
 
 from .errors import check_index

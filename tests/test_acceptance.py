@@ -85,12 +85,11 @@ def test_criterion_3_torus_counts_are_divisor_sums():
     _report(3, "orient:1 M(n) = N(n) = sigma(n) for n <= 20, closed form and class route")
 
 
-def test_criterion_4_genus_two_surface(monkeypatch):
+def test_criterion_4_genus_two_surface(monkeypatch, cold_package):
     start = time.perf_counter()
     # The least-table pruning keeps the index-5 search within 700,000 nodes
     # (it visits 624,699; the full-leaf reference in the tests, 1,974,904).
     monkeypatch.setattr(oracle, "NODE_LIMIT", 700_000)
-    oracle._coset_search.cache_clear()
     genus2 = OrientableSurface(2)
     assert count_subgroups(genus2, 2) == 15
     assert count_classes(genus2, 2) == 15
@@ -195,12 +194,11 @@ def test_criterion_9_character_degrees():
     _report(9, "degree squares sum to k! for k <= 12, beta(k, 0) counts partitions for k <= 20")
 
 
-def test_criterion_10_free_rank_two_oracle_at_index_eight(monkeypatch):
+def test_criterion_10_free_rank_two_oracle_at_index_eight(monkeypatch, cold_package):
     start = time.perf_counter()
     # Within 250,000 nodes (it visits 198,904; the full-leaf reference in the
     # tests, 1,122,878).
     monkeypatch.setattr(oracle, "NODE_LIMIT", 250_000)
-    oracle._coset_search.cache_clear()
     assert oracle_count_subgroups(Free(2), 8) == count_subgroups(Free(2), 8) == 273343
     assert oracle_count_classes(Free(2), 8) == count_classes(Free(2), 8) == 34470
     elapsed = time.perf_counter() - start

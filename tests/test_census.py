@@ -159,18 +159,6 @@ def test_free_subgroups_match_hall_t_reference():
             assert free_subgroups(m, r) == hall_t(m, r) // factorial(m - 1)
 
 
-@pytest.fixture
-def cold_recursions():
-    def clear():
-        census.free_subgroups.cache_clear()
-        census.r_nu_recursive.cache_clear()
-        census._TABLES.clear()
-
-    clear()
-    yield
-    clear()
-
-
 def true_ratios_but(i_bad, q_bad):
     # census._free_ratios with q_bad in place of the ratio i_bad^e.
     def ratios(k, e):
@@ -179,7 +167,7 @@ def true_ratios_but(i_bad, q_bad):
     return ratios
 
 
-def test_free_subgroups_checks_its_bounds(monkeypatch, cold_recursions):
+def test_free_subgroups_checks_its_bounds(monkeypatch, cold_package):
     # With 1 in place of the ratio 4 for r = 2, a_4 = 6 and the Horner sum
     # for k = 4 is M(3) + 2 * (M(2) + 3 * M(1)) = 25, so M(4) = 4 * 6 - 25 =
     # -1 breaks M(m) >= 1 right after the true values 1, 3, 13.
@@ -194,7 +182,7 @@ def test_free_subgroups_checks_its_bounds(monkeypatch, cold_recursions):
         free_subgroups(5, 3)
 
 
-def test_r_nu_recursive_checks_its_bounds(monkeypatch, cold_recursions):
+def test_r_nu_recursive_checks_its_bounds(monkeypatch, cold_package):
     monkeypatch.setattr(census, "beta", lambda k, nu: k)
     assert [r_nu_recursive(m, 2) for m in range(1, 6)] == [1, 3, 4, 3, 1]
     with pytest.raises(ConsistencyError, match=r"r_nu_recursive\(6, 2\)"):
@@ -208,7 +196,7 @@ def test_r_nu_recursive_checks_its_bounds(monkeypatch, cold_recursions):
         r_nu_recursive(2, 3)
 
 
-def test_failed_step_leaves_the_table_unchanged(monkeypatch, cold_recursions):
+def test_failed_step_leaves_the_table_unchanged(monkeypatch, cold_package):
     # The refused step adds nothing, so once a_k is right again the same
     # table goes on from where it stopped.
     monkeypatch.setattr(census, "beta", lambda k, nu: 0 if k == 3 else k)
@@ -220,7 +208,7 @@ def test_failed_step_leaves_the_table_unchanged(monkeypatch, cold_recursions):
     assert census._TABLES[("surface", 2)] == ([1, 2, 3, 4, 5], [1, 3, 4, 3, 1])
 
 
-def test_failed_free_step_leaves_the_table_unchanged(monkeypatch, cold_recursions):
+def test_failed_free_step_leaves_the_table_unchanged(monkeypatch, cold_package):
     # The free counterpart of the test above: a zero ratio 3 refuses
     # M(3), and with the true ratios back the table goes on from M(2).
     monkeypatch.setattr(census, "_free_ratios", true_ratios_but(3, 0))
@@ -232,7 +220,7 @@ def test_failed_free_step_leaves_the_table_unchanged(monkeypatch, cold_recursion
     assert census._TABLES[("free", 2)] == ([1, 2, 6, 24, 120], [1, 3, 13, 71, 461])
 
 
-def test_free_subgroups_in_descending_order_from_a_cold_table(cold_recursions):
+def test_free_subgroups_in_descending_order_from_a_cold_table(cold_package):
     for r in (1, 2, 3):
         first = free_subgroups(60, r)
         assert census._TABLES[("free", r)][1][-1] == first
@@ -240,7 +228,7 @@ def test_free_subgroups_in_descending_order_from_a_cold_table(cold_recursions):
             assert free_subgroups(m, r) == hall_t(m, r) // factorial(m - 1)
 
 
-def test_equal_parameters_keep_separate_tables(cold_recursions):
+def test_equal_parameters_keep_separate_tables(cold_package):
     # Free(2) and nu = 2 share the parameter 2 but not a_k: (k!)^1 against
     # beta(k, 2).  Interleaved calls must each extend their own table.
     free = [1, 3, 13, 71, 461, 3447, 29093]
@@ -387,7 +375,7 @@ def test_split_refuses_more_orientable_subgroups_than_subgroups(monkeypatch):
             split(2)
 
 
-def test_free_ratios_slice_one_list_of_powers(cold_recursions):
+def test_free_ratios_slice_one_list_of_powers(cold_package):
     for e in (0, 1, 3):
         for k in (1, 5, 2, 9, 9):
             assert census._free_ratios(k, e) == [i**e for i in range(k, 1, -1)]
@@ -455,7 +443,7 @@ def dot_product():
     return _load_reference("free_dot_product")
 
 
-def test_free_tables_match_the_dot_product_reference(dot_product, cold_recursions):
+def test_free_tables_match_the_dot_product_reference(dot_product, cold_package):
     for r in range(1, 7):
         free_subgroups(150, r)
         assert census._TABLES[("free", r)] == dot_product.free_table(150, r)

@@ -202,23 +202,12 @@ def _reference_spectrum(k):
     return tuple(sorted(Counter(hook_product(parts) for parts in partitions(k)).items()))
 
 
-@pytest.fixture
-def cold_spectra():
-    # Empties the spectrum and level caches before and after, so a test
-    # that builds or corrupts levels neither sees nor leaves cached ones.
-    hook_spectrum.cache_clear()
-    characters._degrees.cache_clear()
-    yield
-    hook_spectrum.cache_clear()
-    characters._degrees.cache_clear()
-
-
-def test_hook_spectrum_matches_the_per_partition_route(cold_spectra):
+def test_hook_spectrum_matches_the_per_partition_route(cold_package):
     for k in range(1, 25):
         assert hook_spectrum(k) == _reference_spectrum(k)
 
 
-def test_ascending_spectra_build_each_level_once(cold_spectra):
+def test_ascending_spectra_build_each_level_once(cold_package):
     assert characters._degrees.cache_info().maxsize == 1
     for k in range(1, 13):
         hook_spectrum(k)
@@ -227,14 +216,14 @@ def test_ascending_spectra_build_each_level_once(cold_spectra):
     assert (info.misses, info.hits) == (12, 11)
 
 
-def test_cold_spectrum_then_a_lower_one(cold_spectra):
+def test_cold_spectrum_then_a_lower_one(cold_package):
     # Level 20 is the cached one when level 7 is asked for, so level 7 is
     # rebuilt from the bottom.
     assert hook_spectrum(20) == _reference_spectrum(20)
     assert hook_spectrum(7) == _reference_spectrum(7)
 
 
-def test_level_with_wrong_squared_degrees_raises(cold_spectra, monkeypatch):
+def test_level_with_wrong_squared_degrees_raises(cold_package, monkeypatch):
     # Frobenius: the squared degrees of each level sum to k!, not 2 k!.
     # Every degree still divides 2 k!, so only the sum can catch this.
     monkeypatch.setattr(characters, "factorial", lambda n: 2 * factorial(n))
@@ -242,14 +231,14 @@ def test_level_with_wrong_squared_degrees_raises(cold_spectra, monkeypatch):
         hook_spectrum(5)
 
 
-def test_degree_that_does_not_divide_factorial_raises(cold_spectra, monkeypatch):
+def test_degree_that_does_not_divide_factorial_raises(cold_package, monkeypatch):
     # A level whose one degree, 5, does not divide 4!.
     monkeypatch.setattr(characters, "_degrees", lambda k: {0b1010: 5})
     with pytest.raises(ConsistencyError):
         hook_spectrum(4)
 
 
-def test_boundary_words_and_degrees_of_small_partitions(cold_spectra):
+def test_boundary_words_and_degrees_of_small_partitions(cold_package):
     # Bit j of a word is step j of the rim from the bottom-left corner,
     # 1 up and 0 right: (3) is right, right, right, up; (2, 1) is right,
     # up, right, up; (1, 1, 1) is right, up, up, up.

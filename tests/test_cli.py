@@ -172,19 +172,69 @@ def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
-    import covercount.cli as cli_module
+    # The wrong count goes where census_table reads M, the formula side of
+    # verify.
+    import covercount.classes as classes
 
-    real = cli_module.count_subgroups
+    real = classes.count_subgroups
 
     def wrong(kind, n):
         return real(kind, n) + (1 if n == 3 else 0)
 
-    monkeypatch.setattr(cli_module, "count_subgroups", wrong)
+    monkeypatch.setattr(classes, "count_subgroups", wrong)
     code, out, _ = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "3")
     assert code == 1
     lines = out.strip().split("\n")
     assert lines[2] == "n=3 FAIL M=14!=13 N=7"
     assert lines[0].startswith("n=1 PASS")
+
+
+def test_verify_reads_one_census_table(capsys, monkeypatch):
+    # The formula side is one census_table pass: verify itself makes no
+    # one-index count and asks for no split.
+    def refuse(kind, n):
+        raise AssertionError(f"one-index count of {kind} at {n}")
+
+    monkeypatch.setattr(cli, "count_subgroups", refuse)
+    monkeypatch.setattr(cli, "count_classes", refuse)
+    tables, running, outside = [], [], []
+    real_table, real_split = cli.census_table, NonOrientableSurface.split
+
+    def counted_table(kind, n_max):
+        tables.append((kind, n_max))
+        running.append(kind)
+        try:
+            return real_table(kind, n_max)
+        finally:
+            running.pop()
+
+    def counted_split(self, m):
+        if not running:
+            outside.append(m)
+        return real_split(self, m)
+
+    monkeypatch.setattr(cli, "census_table", counted_table)
+    monkeypatch.setattr(NonOrientableSurface, "split", counted_split)
+    code, out, _ = run_cli(capsys, "verify", "--group", "nonorient:3", "--max-index", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "n=4 PASS M=227 M+=15 M-=212 N=89"
+    assert tables == [(NonOrientableSurface(3), 4)]
+    assert outside == []
+
+
+def test_verify_lines_equal_the_table_rows(capsys):
+    columns = {"n": "n", "M": "M", "M+": "M_plus", "M-": "M_minus", "N": "N"}
+    for group in ("nonorient:3", "free:2", "orient:1"):
+        _, table, _ = run_cli(capsys, "table", "--group", group, "--max-index", "4")
+        code, out, _ = run_cli(capsys, "verify", "--group", group, "--max-index", "4")
+        assert code == 0
+        header, *rows = table.splitlines()
+        for line, row in zip(out.splitlines(), rows, strict=True):
+            n, status, *fields = line.split()
+            assert status == "PASS"
+            labels, values = zip(*(field.split("=") for field in [n, *fields]))
+            assert ",".join(columns[label] for label in labels) == header, group
+            assert ",".join(values) == row, group
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
@@ -226,11 +276,10 @@ def test_unexpected_exceptions_have_their_own_status(
     assert sys.get_int_max_str_digits() == 5000
 
 
-def test_verify_infeasible_request(capsys, monkeypatch):
+def test_verify_infeasible_request(capsys, monkeypatch, cold_package):
     # A small node limit: under the real one free:2 n=50 would search for
     # seconds before it is refused.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 400)
-    oracle._coset_search.cache_clear()
     code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "50")
     assert code == 2
     assert out == ""
@@ -238,11 +287,10 @@ def test_verify_infeasible_request(capsys, monkeypatch):
     assert "exceeds the limit of 400 nodes" in err
 
 
-def test_verify_refuses_before_printing_any_index(capsys, monkeypatch):
+def test_verify_refuses_before_printing_any_index(capsys, monkeypatch, cold_package):
     # free:2 searches 167 nodes at index 4 and 710 at index 5, so only the
     # last index is over the limit; no line for indices 1 to 4 is printed.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 167)
-    oracle._coset_search.cache_clear()
     code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "5")
     assert (code, out) == (2, "")
     assert err.startswith("error: free:2 at index 5: ")

@@ -12,7 +12,6 @@ equal int has been computed and cached.
 
 import pytest
 
-from covercount import census
 from covercount.abelian import HomologySignature, epi_count, hom_count
 from covercount.census import (
     Free,
@@ -34,16 +33,6 @@ partitions = _load_reference("partition_reference").partitions
 epi_reference = _load_reference("epi_reference")
 euler_phi = epi_reference.euler_phi
 oracle_epi_count = epi_reference.oracle_epi_count
-
-CACHED = (free_subgroups, r_nu_recursive, beta, hook_spectrum)
-
-
-def clear_caches():
-    # The recursion tables too, so that a cold call builds its table afresh.
-    for cached in CACHED:
-        cached.cache_clear()
-    census._TABLES.clear()
-
 
 INDEXED = {
     "free_subgroups": lambda m: free_subgroups(m, 2),
@@ -80,9 +69,8 @@ PARAMETERS = {
 
 @pytest.mark.parametrize("name", sorted(INDEXED))
 @pytest.mark.parametrize("bad", [True, False, 2.0, "3"], ids=repr)
-def test_refuses_bool_and_non_int_cold_and_warm(name, bad):
+def test_refuses_bool_and_non_int_cold_and_warm(name, bad, cold_package):
     call = INDEXED[name]
-    clear_caches()
     with pytest.raises(TypeError):
         call(bad)
     if int(bad) >= 1:
@@ -93,9 +81,8 @@ def test_refuses_bool_and_non_int_cold_and_warm(name, bad):
 
 @pytest.mark.parametrize("name", sorted(PARAMETERS))
 @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, 0.5, "3"], ids=repr)
-def test_parameters_refuse_bool_and_non_int_cold_and_warm(name, bad):
+def test_parameters_refuse_bool_and_non_int_cold_and_warm(name, bad, cold_package):
     call, minimum = PARAMETERS[name]
-    clear_caches()
     with pytest.raises(TypeError):
         call(bad)
     call(max(int(bad), minimum))

@@ -4,6 +4,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covercount import _pykernels, oracle
 from covercount.abelian import HomologySignature, epi_count
@@ -16,7 +18,7 @@ from covercount.census import (
     count_orientable_subgroups,
     count_subgroups,
 )
-from covercount.classes import count_classes
+from covercount.classes import census_table, count_classes
 from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
     _compare,
@@ -87,6 +89,29 @@ def test_oracle_orientable_split_matches_formulas():
             assert minus == count_nonorientable_subgroups(p, n), (p, n)
 
 
+@st.composite
+def grid_tables(draw):
+    kind, top = draw(st.sampled_from(SMALL_GRID))
+    return kind, draw(st.integers(1, top))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_tables())
+def test_oracle_matches_every_table_row(kind_and_bound):
+    # The rows that table prints and verify checks, from the multi-index
+    # driver, against the oracle.
+    kind, n_max = kind_and_bound
+    for row in census_table(kind, n_max).rows:
+        n = row.n
+        assert oracle_count_subgroups(kind, n) == row.subgroups, (kind, n)
+        assert oracle_count_classes(kind, n) == row.conjugacy_classes, (kind, n)
+        split = row.orientable_subgroups, row.nonorientable_subgroups
+        if isinstance(kind, NonOrientableSurface):
+            assert oracle_orientable_split(kind.genus, n) == split, (kind, n)
+        else:
+            assert split == (None, None), (kind, n)
+
+
 def test_coset_search_matches_tuple_brute_force():
     for kind, n_max in SMALL_GRID:
         rel, gens = _presentation(kind)
@@ -127,8 +152,7 @@ def test_compare_reads_only_defined_entries():
     assert [_compare([[1, 0]], 2, base) for base in range(2)] == [0, 0]
 
 
-def test_coset_search_rechecks_its_results(monkeypatch):
-    _coset_search.cache_clear()
+def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
     with monkeypatch.context() as patch:
         patch.setattr(_pykernels, "satisfies_relation", lambda rel, images, n: False)
         with pytest.raises(ConsistencyError, match="bad table"):
@@ -210,11 +234,10 @@ BUDGET_CASES = {
 }
 
 
-def test_feasibility_gate(monkeypatch):
+def test_feasibility_gate(monkeypatch, cold_package):
     # The node limit refuses each counter on a search that overruns it,
     # naming the group and the index; the real limit is never reached here.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 400)
-    _coset_search.cache_clear()
     with pytest.raises(ResourceLimitError, match=r"^free:2 at index 50: .* limit of 400 nodes"):
         oracle_count_subgroups(Free(2), 50)
     with pytest.raises(ResourceLimitError, match="orient:2 at index 8"):
@@ -226,10 +249,9 @@ def test_feasibility_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(BUDGET_CASES))
-def test_node_limit_is_exact(monkeypatch, case):
+def test_node_limit_is_exact(monkeypatch, case, cold_package):
     call, nodes, expected = BUDGET_CASES[case]
     monkeypatch.setattr(oracle, "NODE_LIMIT", nodes)
-    _coset_search.cache_clear()
     assert call() == expected
     _coset_search.cache_clear()
     monkeypatch.setattr(oracle, "NODE_LIMIT", nodes - 1)
@@ -238,9 +260,8 @@ def test_node_limit_is_exact(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", sorted(BUDGET_CASES))
-def test_over_budget_search_caches_nothing(monkeypatch, case):
+def test_over_budget_search_caches_nothing(monkeypatch, case, cold_package):
     call, nodes, expected = BUDGET_CASES[case]
-    _coset_search.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "NODE_LIMIT", nodes - 1)
         with pytest.raises(ResourceLimitError):
@@ -249,10 +270,9 @@ def test_over_budget_search_caches_nothing(monkeypatch, case):
     assert call() == expected
 
 
-def test_node_limit_applies_to_each_search_alone(monkeypatch):
+def test_node_limit_applies_to_each_search_alone(monkeypatch, cold_package):
     # Two searches of 710 and 792 nodes both fit a limit of 792.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 792)
-    _coset_search.cache_clear()
     assert oracle_count_subgroups(Free(2), 5) == 461
     assert oracle_count_subgroups(NonOrientableSurface(3), 4) == 227
 

@@ -98,6 +98,31 @@ def test_import_leaves_fractions_and_decimal_unloaded():
     assert run_fresh(probe) == ["[]"]
 
 
+# Run in a fresh interpreter: imports the package, its CLI and its oracle,
+# and prints how many recursion tables exist and the size of every lru
+# cache the package binds.
+COLD_PROBE = f"""
+import sys
+import covercount, covercount.cli, covercount.oracle
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from conftest import package_caches
+print(len(covercount.census._TABLES))
+print(sorted((name, cached.cache_info().currsize) for name, cached in package_caches().items()))
+"""
+
+
+def test_fresh_import_is_cold():
+    # The recursion tables are the only memo of the subgroup counts; the
+    # lru caches are those of the characters, the oracle search and the
+    # CLI parser, and all of them start empty.
+    cached = ["covercount.characters._degrees", "covercount.characters.beta",
+              "covercount.characters.hook_spectrum", "covercount.cli.build_parser",
+              "covercount.oracle._coset_search"]
+    assert run_fresh(COLD_PROBE) == ["0", repr([(name, 0) for name in cached])]
+    for recursion in (covercount.free_subgroups, covercount.r_nu_recursive):
+        assert not hasattr(recursion, "cache_info")
+
+
 def test_cli_import_leaves_json_and_traceback_unloaded():
     # Only table --format json and an internal fault need them.
     probe = "import sys, covercount.cli; print(sorted({'json', 'traceback'} & set(sys.modules)))"
