@@ -88,7 +88,7 @@ m, r = int(sys.argv[1]), int(sys.argv[2])
 start = time.perf_counter()
 table = census_table(Free(r), m)
 seconds = time.perf_counter() - start
-values = [row.conjugacy_classes for row in table.rows]
+values = [row.conjugacy_classes for row in table]
 """
 REPORT = """
 import hashlib, json, resource

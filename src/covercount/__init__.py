@@ -9,15 +9,13 @@ from .census import (
     GroupKind,
     NonOrientableSurface,
     OrientableSurface,
-    count_nonorientable_subgroups,
-    count_orientable_subgroups,
     count_subgroups,
     covering_fiber,
     free_subgroups,
     r_nu_recursive,
 )
 from .characters import beta, hook_spectrum
-from .classes import CensusRow, CensusTable, census_table, count_classes
+from .classes import CensusRow, census_table, count_classes
 from .errors import ConsistencyError, ResourceLimitError
 from .numtheory import divisors, mobius
 
@@ -44,7 +42,6 @@ def __getattr__(name):
 
 __all__ = [
     "CensusRow",
-    "CensusTable",
     "ConsistencyError",
     "FiberClass",
     "Free",
@@ -56,8 +53,6 @@ __all__ = [
     "beta",
     "census_table",
     "count_classes",
-    "count_nonorientable_subgroups",
-    "count_orientable_subgroups",
     "count_subgroups",
     "covering_fiber",
     "divisors",

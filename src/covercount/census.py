@@ -41,8 +41,10 @@ given by the Riemann-Hurwitz relations.  covering_fiber records, for each
 index m, the abelianisations of those subgroups together with their
 multiplicities; the conjugacy-class counts in the classes module are driven
 entirely by these fibers.  Index-m subgroups of a non-orientable surface
-group split into orientable ones (which exist only for even m, counted by
-count_orientable_subgroups) and non-orientable ones.
+group split into orientable ones and non-orientable ones.  The orientable
+ones are the subgroups of the orientation double cover, the orientable
+surface of genus p - 1 (Mednykh and Pozdnyakova 1986), so they exist only
+for even m; NonOrientableSurface.split holds that rule.
 """
 
 from operator import mul
@@ -119,8 +121,11 @@ class NonOrientableSurface(GroupKind):
         return r_nu_recursive(m, self.genus - 2)
 
     def split(self, m: int) -> tuple[int, int]:
+        # M+ counts the subgroups of the orientation double cover, the
+        # orientable surface of genus p - 1 (nu = 2(p - 2)), at index m / 2.
         p = self.genus
-        plus = count_orientable_subgroups(p, m)
+        check_index(m, "m")
+        plus = 0 if m % 2 else r_nu_recursive(m // 2, 2 * (p - 2))
         minus = self.subgroups(m) - plus
         if minus < 0:
             raise ConsistencyError(f"orientable subgroup count exceeds total at p={p}, m={m}")
@@ -170,8 +175,9 @@ def _table_count(key: tuple[str, int], m: int, step, call: str, a_m: str) -> int
     # with step(key[1], k, a, counts) = (a_k, the sum).  Each new M(k) must lie in
     # [1, k * a_k]; call and a_m name the public function and its a_m in the
     # error raised when it does not.  Both lists grow only after the check,
-    # so a failed step leaves the table as it was.
-    a, counts = _TABLES.setdefault(key, ([], []))
+    # so a failed step leaves the table as it was.  A warm read builds no
+    # empty table, which setdefault would.
+    a, counts = _TABLES.get(key) or _TABLES.setdefault(key, ([], []))
     for k in range(len(counts) + 1, m + 1):
         a_k, convolution = step(key[1], k, a, counts)
         bound = k * a_k
@@ -186,7 +192,8 @@ def _table_count(key: tuple[str, int], m: int, step, call: str, a_m: str) -> int
 def _free_ratios(k: int, e: int) -> list[int]:
     # The ratios a_i / a_{i-1} = i^e of a_i = (i!)^e, for i = k down to 2,
     # sliced from the powers of e, each computed once.
-    powers = _TABLES.setdefault(("powers", e), ([0, 1], []))[0]
+    key = ("powers", e)
+    powers = (_TABLES.get(key) or _TABLES.setdefault(key, ([0, 1], [])))[0]
     powers.extend(i**e for i in range(len(powers), k + 1))
     return powers[k:1:-1]
 
@@ -229,25 +236,6 @@ def count_subgroups(kind: GroupKind, m: int) -> int:
     """Number of index-m subgroups of the given group."""
     check_index(m, "m")
     return check_kind(kind).subgroups(m)
-
-
-def count_orientable_subgroups(p: int, m: int) -> int:
-    """Number of orientable index-m subgroups of NonOrientableSurface(p).
-
-    Orientable subgroups only occur at even index; an index-2k subgroup that
-    is orientable behaves like an index-k subgroup counted with the doubled
-    exponent 2(p - 2).
-    """
-    check_index(p, "non-orientable genus", minimum=2)
-    check_index(m, "m")
-    if m % 2 == 1:
-        return 0
-    return r_nu_recursive(m // 2, 2 * (p - 2))
-
-
-def count_nonorientable_subgroups(p: int, m: int) -> int:
-    """Number of non-orientable index-m subgroups of NonOrientableSurface(p)."""
-    return NonOrientableSurface(p).split(m)[1]
 
 
 def covering_fiber(kind: GroupKind, m: int) -> list[FiberClass]:

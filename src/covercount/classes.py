@@ -37,16 +37,6 @@ class CensusRow(Record):
         object.__setattr__(self, "nonorientable_subgroups", nonorientable_subgroups)
 
 
-class CensusTable(Record):
-    """Census rows for indices 1..n_max of one group."""
-
-    __slots__ = ("kind", "rows")
-
-    def __init__(self, kind: GroupKind, rows: tuple[CensusRow, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rows", rows)
-
-
 def count_classes(kind: GroupKind, n: int) -> int:
     """Conjugacy classes of index-n subgroups of the given group."""
     return _class_counts(kind, (check_index(n),))[0]
@@ -84,7 +74,7 @@ def _check_row(row: CensusRow) -> None:
             raise ConsistencyError(f"orientability split does not sum in {row}")
 
 
-def census_table(kind: GroupKind, n_max: int) -> CensusTable:
+def census_table(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
     """Census rows for n = 1..n_max, with the split for non-orientable groups."""
     targets = range(1, check_index(n_max, "n_max") + 1)
     rows = []
@@ -92,4 +82,4 @@ def census_table(kind: GroupKind, n_max: int) -> CensusTable:
         row = CensusRow(n, count_subgroups(kind, n), classes, *(kind.split(n) or ()))
         _check_row(row)
         rows.append(row)
-    return CensusTable(kind, tuple(rows))
+    return tuple(rows)

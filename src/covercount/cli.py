@@ -65,9 +65,8 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
-    table = census_table(kind, n_max)
     records = []
-    for row in table.rows:
+    for row in census_table(kind, n_max):
         record = {"n": row.n, "M": row.subgroups}
         if row.orientable_subgroups is not None:
             record["M_plus"] = row.orientable_subgroups
@@ -95,12 +94,12 @@ def cmd_verify(args) -> int:
     oracle.oracle_count_subgroups(kind, n_max)
     failures = 0
     # The formula side is the rows that table prints, from one pass.
-    for row in census_table(kind, n_max).rows:
+    for row in census_table(kind, n_max):
         n = row.n
         checks = [("M", row.subgroups, oracle.oracle_count_subgroups(kind, n))]
         if row.orientable_subgroups is not None:
             split = row.orientable_subgroups, row.nonorientable_subgroups
-            checks += zip(("M+", "M-"), split, oracle.oracle_orientable_split(kind.genus, n))
+            checks += zip(("M+", "M-"), split, oracle.oracle_orientable_split(kind, n))
         checks.append(("N", row.conjugacy_classes, oracle.oracle_count_classes(kind, n)))
         fields = []
         ok = True

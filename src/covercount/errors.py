@@ -10,8 +10,9 @@ class ConsistencyError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A brute-force request exceeds its work bound: the coset search's node
-    limit or the epimorphism enumeration's size bounds."""
+    """A brute-force request exceeds its work bound.  In the package only the
+    oracle's coset search raises it, past its node limit; the epimorphism
+    enumeration's size bounds are test-side, in tests/epi_reference.py."""
 
 
 def check_index(value, name: str = "n", minimum: int = 1) -> int:

@@ -296,8 +296,10 @@ def oracle_count_classes(kind: GroupKind, n: int) -> int:
     return _search(kind, n)[1]
 
 
-def oracle_orientable_split(p: int, n: int) -> tuple[int, int]:
-    """(orientable, non-orientable) index-n subgroup counts for
-    NonOrientableSurface(p), by the parity check on point stabilisers."""
-    subgroups, _, orientable = _search(NonOrientableSurface(p), n)
+def oracle_orientable_split(kind: NonOrientableSurface, n: int) -> tuple[int, int]:
+    """(orientable, non-orientable) index-n subgroup counts of a
+    non-orientable surface group, by the parity check on point stabilisers."""
+    if not isinstance(kind, NonOrientableSurface):
+        raise TypeError(f"the orientable split needs a NonOrientableSurface, got {kind!r}")
+    subgroups, _, orientable = _search(kind, n)
     return orientable, subgroups - orientable

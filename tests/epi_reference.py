@@ -7,7 +7,7 @@ onto Z/n, by the product over the distinct prime factors of n.  Neither
 uses a Mobius function or a divisor sum, so the tests check epi_count
 against both.
 
-Loaded by path from the tests, as tests/r_nu_closed.py is.
+The tests import it by name: pytest puts tests/ on sys.path.
 """
 
 from itertools import product

@@ -43,7 +43,7 @@ and takes N by the same inverse Euler transform.  It shares only the
 covering fibers with the class driver: homomorphism counts and generating
 functions stand in for its epimorphism counts and Mobius inversion.
 
-Loaded by path from the tests, as tests/free_dot_product.py is.
+The tests import it by name: pytest puts tests/ on sys.path.
 """
 
 from fractions import Fraction

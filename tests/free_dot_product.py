@@ -11,7 +11,7 @@ Horner's rule over the ratios a_k / a_{k-1} = k^(r-1).  It keeps no table
 and no cache and checks no bound, so it shares nothing with census but the
 recursion itself.
 
-Loaded by path from the tests, as tests/full_leaf_search.py is.
+The tests import it by name: pytest puts tests/ on sys.path.
 """
 
 from math import factorial

@@ -8,7 +8,7 @@ the first-column hook lengths h_i = parts[i] + len(parts) - 1 - i,
 They share no code with covercount's branching rule, so the tests check
 every hook spectrum against them.
 
-Loaded by path from the tests, as tests/r_nu_closed.py is.
+The tests import it by name: pytest puts tests/ on sys.path.
 """
 
 from math import factorial

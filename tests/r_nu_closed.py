@@ -11,7 +11,7 @@ evaluated in integers over the common denominator lcm(1, ..., m).  It
 keeps no table and shares nothing with census.r_nu_recursive but the beta
 values, so the tests compare the recursion against it.
 
-Loaded by path from the tests, as tests/free_dot_product.py is.
+The tests import it by name: pytest puts tests/ on sys.path.
 """
 
 from math import lcm

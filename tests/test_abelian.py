@@ -7,9 +7,7 @@ from covercount.abelian import HomologySignature, _epi_count, epi_count, hom_cou
 from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors, mobius
 
-from test_census import _load_reference
-
-euler_phi = _load_reference("epi_reference").euler_phi
+from epi_reference import euler_phi
 
 
 def _signature_grid():

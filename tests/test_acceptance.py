@@ -14,8 +14,6 @@ from covercount.census import (
     Free,
     NonOrientableSurface,
     OrientableSurface,
-    count_nonorientable_subgroups,
-    count_orientable_subgroups,
     count_subgroups,
     r_nu_recursive,
 )
@@ -28,13 +26,10 @@ from covercount.oracle import (
     oracle_orientable_split,
 )
 
-from test_census import _load_reference, r_nu_closed
+from epi_reference import oracle_epi_count
+from partition_reference import hook_product, partitions
+from r_nu_closed import r_nu_closed
 from test_classes import _inline_count_classes
-
-partition_reference = _load_reference("partition_reference")
-partitions = partition_reference.partitions
-hook_product = partition_reference.hook_product
-oracle_epi_count = _load_reference("epi_reference").oracle_epi_count
 
 
 def _report(number, text):
@@ -110,17 +105,14 @@ def test_criterion_5_nonorientable_surfaces():
     for p, expected, oracle_max in ((3, (7, 1, 6, 7), 6), (2, (3, 1, 2, 3), 12)):
         kind = NonOrientableSurface(p)
         assert count_subgroups(kind, 2) == expected[0]
-        assert count_orientable_subgroups(p, 2) == expected[1]
-        assert count_nonorientable_subgroups(p, 2) == expected[2]
+        assert kind.split(2) == expected[1:3]
         assert count_classes(kind, 2) == expected[3]
         for n in range(1, 9):
             assert count_classes(kind, n) == _inline_count_classes(kind, n)
         for n in range(1, oracle_max + 1):
             assert oracle_count_subgroups(kind, n) == count_subgroups(kind, n)
             assert oracle_count_classes(kind, n) == count_classes(kind, n)
-            plus, minus = oracle_orientable_split(p, n)
-            assert plus == count_orientable_subgroups(p, n)
-            assert minus == count_nonorientable_subgroups(p, n)
+            assert oracle_orientable_split(kind, n) == kind.split(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 120
     _report(
@@ -172,14 +164,14 @@ def test_criterion_8_structural_invariants():
     ]
     for kind in kinds:
         table = census_table(kind, 10)
-        for row in table.rows:
+        for row in table:
             # The inline route asserts that its accumulator is divisible
             # by n, independently of the driver's own check.
             assert _inline_count_classes(kind, row.n) == row.conjugacy_classes
             assert row.conjugacy_classes <= row.subgroups <= row.n * row.conjugacy_classes
             if row.orientable_subgroups is not None:
                 assert row.orientable_subgroups + row.nonorientable_subgroups == row.subgroups
-        assert table.rows[1].conjugacy_classes == table.rows[1].subgroups
+        assert table[1].conjugacy_classes == table[1].subgroups
     _report(8, f"divisibility, class bounds, index-2 equality and splits on {len(kinds)} tables")
 
 

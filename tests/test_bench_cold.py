@@ -40,7 +40,7 @@ def free_values(m, r):
 
 
 def table_values(m, r):
-    return [row.conjugacy_classes for row in census_table(Free(r), m).rows]
+    return [row.conjugacy_classes for row in census_table(Free(r), m)]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
-import importlib.util
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial
-from pathlib import Path
 
 import pytest
 
@@ -16,29 +14,19 @@ from covercount.census import (
     OrientableSurface,
     check_index,
     check_kind,
-    count_nonorientable_subgroups,
-    count_orientable_subgroups,
     count_subgroups,
     covering_fiber,
     free_subgroups,
     r_nu_recursive,
 )
+from covercount.classes import census_table
 from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors
 from covercount.oracle import _presentation
 
-
-def _load_reference(name):
-    # A test-side reference module next to this file, loaded by path.
-    path = Path(__file__).resolve().parent / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-closed = _load_reference("r_nu_closed")
-r_nu_closed = closed.r_nu_closed
+import free_dot_product
+import r_nu_closed as closed
+from r_nu_closed import r_nu_closed
 
 
 def _sigma(n):
@@ -76,15 +64,18 @@ def test_families_are_the_three_records():
 
 
 def test_split_on_the_record_matches_the_public_counters():
+    # The orientable subgroups of index 2k are the index-k subgroups of the
+    # orientation double cover, the orientable surface of genus p - 1.
     for p in range(2, 6):
         kind = NonOrientableSurface(p)
+        cover = OrientableSurface(p - 1)
         for m in range(1, 31):
             plus, minus = kind.split(m)
-            assert plus == count_orientable_subgroups(p, m), (p, m)
-            assert minus == count_nonorientable_subgroups(p, m), (p, m)
             assert plus + minus == count_subgroups(kind, m), (p, m)
             if m % 2 == 1:
                 assert plus == 0, (p, m)
+            else:
+                assert plus == count_subgroups(cover, m // 2), (p, m)
     for kind in (Free(1), Free(3), OrientableSurface(1), OrientableSurface(2)):
         assert [kind.split(m) for m in range(1, 31)] == [None] * 30
 
@@ -254,6 +245,18 @@ def test_free_subgroup_counts():
 def test_torus_subgroup_counts_are_divisor_sums():
     for n in range(1, 21):
         assert count_subgroups(OrientableSurface(1), n) == _sigma(n)
+    # Whole census_table columns, past the benchmark's n = 28.  The torus
+    # group is Z^2: every subgroup is normal, M = N = sigma(n).  The Klein
+    # bottle has M = sigma(n), its double cover the torus gives M+ =
+    # sigma(n/2) at even n, and at odd n N = tau(n).
+    for row in census_table(OrientableSurface(1), 40):
+        assert row.subgroups == row.conjugacy_classes == _sigma(row.n), row
+    for row in census_table(NonOrientableSurface(2), 40):
+        n = row.n
+        assert row.subgroups == _sigma(n), row
+        assert row.orientable_subgroups == (_sigma(n // 2) if n % 2 == 0 else 0), row
+        if n % 2:
+            assert row.conjugacy_classes == len(divisors(n)), row
 
 
 def test_genus_two_subgroup_counts():
@@ -327,52 +330,60 @@ def test_r_nu_rejects_bad_arguments():
 
 
 def test_orientable_subgroup_counts():
-    assert count_orientable_subgroups(3, 2) == 1
-    assert count_orientable_subgroups(2, 2) == 1
-    assert count_orientable_subgroups(2, 4) == 3
-    assert count_orientable_subgroups(3, 4) == 15
+    assert NonOrientableSurface(3).split(2)[0] == 1
+    assert NonOrientableSurface(2).split(2)[0] == 1
+    assert NonOrientableSurface(2).split(4)[0] == 3
+    assert NonOrientableSurface(3).split(4)[0] == 15
     for p in range(2, 5):
         for m in range(1, 10, 2):
-            assert count_orientable_subgroups(p, m) == 0
+            assert NonOrientableSurface(p).split(m)[0] == 0
 
 
 def test_nonorientable_only_subgroup_counts():
-    assert count_nonorientable_subgroups(3, 1) == 1
-    assert count_nonorientable_subgroups(3, 2) == 6
-    assert count_nonorientable_subgroups(2, 2) == 2
+    assert NonOrientableSurface(3).split(1)[1] == 1
+    assert NonOrientableSurface(3).split(2)[1] == 6
+    assert NonOrientableSurface(2).split(2)[1] == 2
 
 
 def test_orientable_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        count_orientable_subgroups(1, 2)
+        NonOrientableSurface(1).split(2)
     with pytest.raises(ValueError):
-        count_orientable_subgroups(3, 0)
+        NonOrientableSurface(3).split(0)
 
 
 def test_split_counts_the_orientable_subgroups_once(monkeypatch):
+    # Each split asks the recursion once for M+, at the doubled exponent
+    # 2(p - 2) and half the index, and not at all at odd index.
     calls = []
-    original = census.count_orientable_subgroups
+    original = census.r_nu_recursive
 
-    def counted(p, m):
-        calls.append((p, m))
-        return original(p, m)
+    def counted(m, nu):
+        if nu == 2:
+            calls.append(m)
+        return original(m, nu)
 
-    monkeypatch.setattr(census, "count_orientable_subgroups", counted)
+    monkeypatch.setattr(census, "r_nu_recursive", counted)
     kind = NonOrientableSurface(3)
     for m in range(1, 9):
         plus, minus = kind.split(m)
         assert plus + minus == count_subgroups(kind, m)
-    assert calls == [(3, m) for m in range(1, 9)]
+    assert calls == [1, 2, 3, 4]
+    # A warm split asks again: the recursion table is the only memo.
     calls.clear()
-    assert count_nonorientable_subgroups(3, 4) == kind.split(4)[1]
-    assert calls == [(3, 4), (3, 4)]
+    assert kind.split(4) == (15, 212)
+    assert calls == [2]
 
 
 def test_split_refuses_more_orientable_subgroups_than_subgroups(monkeypatch):
-    monkeypatch.setattr(census, "count_orientable_subgroups", lambda p, m: 10**6)
-    for split in (NonOrientableSurface(3).split, partial(count_nonorientable_subgroups, 3)):
-        with pytest.raises(ConsistencyError, match="exceeds total at p=3, m=2"):
-            split(2)
+    original = census.r_nu_recursive
+
+    def too_many(m, nu):
+        return 10**6 if nu == 2 else original(m, nu)
+
+    monkeypatch.setattr(census, "r_nu_recursive", too_many)
+    with pytest.raises(ConsistencyError, match="exceeds total at p=3, m=2"):
+        NonOrientableSurface(3).split(2)
 
 
 def test_free_ratios_slice_one_list_of_powers(cold_package):
@@ -388,8 +399,7 @@ def test_free_ratios_slice_one_list_of_powers(cold_package):
 def test_orientability_split_sums_to_total():
     for p in range(2, 5):
         for m in range(1, 9):
-            plus = count_orientable_subgroups(p, m)
-            minus = count_nonorientable_subgroups(p, m)
+            plus, minus = NonOrientableSurface(p).split(m)
             assert plus >= 0 and minus >= 0
             assert plus + minus == count_subgroups(NonOrientableSurface(p), m)
 
@@ -438,13 +448,8 @@ def test_covering_fiber_rejects_zero_index():
         covering_fiber(Free(2), 0)
 
 
-@pytest.fixture(scope="module")
-def dot_product():
-    return _load_reference("free_dot_product")
-
-
-def test_free_tables_match_the_dot_product_reference(dot_product, cold_package):
+def test_free_tables_match_the_dot_product_reference(cold_package):
     for r in range(1, 7):
         free_subgroups(150, r)
-        assert census._TABLES[("free", r)] == dot_product.free_table(150, r)
-    assert free_subgroups(300, 6) == dot_product.free_table(300, 6)[1][-1]
+        assert census._TABLES[("free", r)] == free_dot_product.free_table(150, r)
+    assert free_subgroups(300, 6) == free_dot_product.free_table(300, 6)[1][-1]

@@ -9,11 +9,8 @@ import covercount.characters as characters
 from covercount.characters import beta, hook_spectrum
 from covercount.errors import ConsistencyError
 
-from test_census import _load_reference
-
-partition_reference = _load_reference("partition_reference")
-partitions = partition_reference.partitions
-hook_product = partition_reference.hook_product
+import partition_reference
+from partition_reference import hook_product, partitions
 
 EXPONENTS = (0, 1, 2, 3, 4, 6)
 

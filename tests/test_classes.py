@@ -1,6 +1,4 @@
-import importlib.util
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +19,8 @@ from covercount import classes
 from covercount.classes import CensusRow, census_table, count_classes
 from covercount.errors import ConsistencyError
 from covercount.numtheory import divisors, mobius
+
+import euler_transform
 
 KINDS = [
     Free(1),
@@ -132,7 +132,7 @@ def test_driver_checks_its_kind_once_and_asks_the_record(monkeypatch):
         assert sorted(built) == divisors(12)
         calls.clear()
         built.clear()
-        assert census_table(kind, 12).rows[-1].conjugacy_classes == expected
+        assert census_table(kind, 12)[-1].conjugacy_classes == expected
         assert calls == [kind]
         assert sorted(built) == list(range(1, 13))
     # One fiber per m for a whole free-deep table, not one per divisor pair.
@@ -151,30 +151,54 @@ def test_index_two_classes_equal_subgroups():
     # Index-2 subgroups are normal, so conjugation fixes each of them.
     for kind in KINDS:
         table = census_table(kind, 2)
-        assert table.rows[1].conjugacy_classes == table.rows[1].subgroups
+        assert table[1].conjugacy_classes == table[1].subgroups
 
 
 def test_census_table_free_rank_two():
     table = census_table(Free(2), 6)
-    assert [row.subgroups for row in table.rows] == [1, 3, 13, 71, 461, 3447]
-    assert [row.conjugacy_classes for row in table.rows] == [1, 3, 7, 26, 97, 624]
-    assert all(row.orientable_subgroups is None for row in table.rows)
-    assert all(row.nonorientable_subgroups is None for row in table.rows)
-    assert [row.n for row in table.rows] == list(range(1, 7))
-    assert table.kind == Free(2)
+    assert [row.subgroups for row in table] == [1, 3, 13, 71, 461, 3447]
+    assert [row.conjugacy_classes for row in table] == [1, 3, 7, 26, 97, 624]
+    assert all(row.orientable_subgroups is None for row in table)
+    assert all(row.nonorientable_subgroups is None for row in table)
+    assert [row.n for row in table] == list(range(1, 7))
+    assert type(table) is tuple and {type(row) for row in table} == {CensusRow}
 
 
 def test_census_table_klein_bottle():
     table = census_table(NonOrientableSurface(2), 2)
-    assert table.rows[0] == CensusRow(1, 1, 1, 0, 1)
-    assert table.rows[1] == CensusRow(2, 3, 3, 1, 2)
+    assert table[0] == CensusRow(1, 1, 1, 0, 1)
+    assert table[1] == CensusRow(2, 3, 3, 1, 2)
 
 
 def test_census_table_bounds():
     for kind in KINDS:
-        for row in census_table(kind, 8).rows:
+        for row in census_table(kind, 8):
             assert row.conjugacy_classes <= row.subgroups
             assert row.subgroups <= row.n * row.conjugacy_classes
+
+
+# A subgroup count patched at one index of a table, and the row check it
+# must trip: nonorient:3 has (M, M+, M-, N) = (7, 1, 6, 7) at n = 2, free:2
+# has (M, N) = (13, 7) at n = 3.
+ROW_FAULTS = {
+    "split sum": (NonOrientableSurface(3), 2, lambda m: m + 1, "orientability split does not sum"),
+    "N <= M": (Free(2), 3, lambda m: 0, "subgroup/class bounds violated"),
+    "M <= n N": (Free(2), 3, lambda m: 3 * 7 + 1, "subgroup/class bounds violated"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_row_checks_fire(monkeypatch, fault):
+    kind, n, patch, message = ROW_FAULTS[fault]
+    real = classes.count_subgroups
+
+    def wrong(kind, m):
+        return patch(real(kind, m)) if m == n else real(kind, m)
+
+    monkeypatch.setattr(classes, "count_subgroups", wrong)
+    assert len(census_table(kind, n - 1)) == n - 1
+    with pytest.raises(ConsistencyError, match=f"^{message} in CensusRow\\(n={n}, "):
+        census_table(kind, n)
 
 
 def test_census_table_rejects_zero():
@@ -198,26 +222,15 @@ def test_class_counts_reject_bool_and_non_int_indices():
             census_table(Free(2), bad)
 
 
-EULER_TRANSFORM = Path(__file__).resolve().parent / "euler_transform.py"
-
-
-@pytest.fixture(scope="module")
-def euler_transform():
-    spec = importlib.util.spec_from_file_location("euler_transform", EULER_TRANSFORM)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize(
     "r, n_max", [(1, 60), (2, 400), (3, 250), (4, 60), (5, 60), (6, 300)],
     ids=["free-1-60", "free-2-400", "free-3-250", "free-4-60", "free-5-60", "free-6-300"],
 )
-def test_free_class_columns_match_the_euler_transform(euler_transform, r, n_max):
+def test_free_class_columns_match_the_euler_transform(r, n_max):
     # The whole N column of each free-deep table, and of the other ranks to
     # n = 60, against a route that shares nothing with the class driver.
     table = census_table(Free(r), n_max)
-    assert [row.conjugacy_classes for row in table.rows] == euler_transform.class_counts(n_max, r)
+    assert [row.conjugacy_classes for row in table] == euler_transform.class_counts(n_max, r)
 
 
 @pytest.mark.parametrize(
@@ -227,11 +240,11 @@ def test_free_class_columns_match_the_euler_transform(euler_transform, r, n_max)
      (NonOrientableSurface(3), 16), (NonOrientableSurface(5), 12)],
     ids=str,
 )
-def test_class_columns_match_the_burnside_route(euler_transform, kind, n_max):
+def test_class_columns_match_the_burnside_route(kind, n_max):
     # The surfaces beyond the oracle's reach: the route shares only the
     # covering fibers with the class driver's Mobius and epimorphism step.
     table = census_table(kind, n_max)
-    assert [row.conjugacy_classes for row in table.rows] == euler_transform.fiber_class_counts(
+    assert [row.conjugacy_classes for row in table] == euler_transform.fiber_class_counts(
         kind, n_max
     )
 
@@ -254,8 +267,8 @@ def kinds_and_bounds(draw):
 def test_table_rows_equal_the_one_index_counts(kind_and_bound):
     kind, n_max = kind_and_bound
     table = census_table(kind, n_max)
-    assert [row.n for row in table.rows] == list(range(1, n_max + 1))
-    for row in table.rows:
+    assert [row.n for row in table] == list(range(1, n_max + 1))
+    for row in table:
         n, split = row.n, kind.split(row.n)
         assert row.subgroups == count_subgroups(kind, n)
         assert row.conjugacy_classes == count_classes(kind, n)

@@ -157,8 +157,8 @@ def test_verify_includes_split_for_nonorientable(capsys):
 def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
     real = oracle.oracle_orientable_split
 
-    def wrong(p, n):
-        plus, minus = real(p, n)
+    def wrong(kind, n):
+        plus, minus = real(kind, n)
         return plus + (1 if n == 2 else 0), minus
 
     monkeypatch.setattr(oracle, "oracle_orientable_split", wrong)

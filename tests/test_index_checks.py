@@ -17,7 +17,6 @@ from covercount.census import (
     Free,
     NonOrientableSurface,
     OrientableSurface,
-    count_orientable_subgroups,
     covering_fiber,
     free_subgroups,
     r_nu_recursive,
@@ -27,12 +26,9 @@ from covercount.classes import count_classes
 from covercount.errors import check_index
 from covercount.numtheory import divisors, mobius
 
-from test_census import _load_reference, r_nu_closed
-
-partitions = _load_reference("partition_reference").partitions
-epi_reference = _load_reference("epi_reference")
-euler_phi = epi_reference.euler_phi
-oracle_epi_count = epi_reference.oracle_epi_count
+from epi_reference import euler_phi, oracle_epi_count
+from partition_reference import partitions
+from r_nu_closed import r_nu_closed
 
 INDEXED = {
     "free_subgroups": lambda m: free_subgroups(m, 2),
@@ -41,7 +37,7 @@ INDEXED = {
     "beta": lambda k: beta(k, 2),
     "hook_spectrum": hook_spectrum,
     "partitions": partitions,
-    "count_orientable_subgroups": lambda m: count_orientable_subgroups(3, m),
+    "NonOrientableSurface(3).split": NonOrientableSurface(3).split,
     "covering_fiber": lambda m: covering_fiber(Free(2), m),
     "count_classes": lambda n: count_classes(Free(2), n),
     "divisors": divisors,
@@ -61,7 +57,6 @@ PARAMETERS = {
     "beta.nu": (lambda nu: beta(3, nu), 0),
     "r_nu_recursive.nu": (lambda nu: r_nu_recursive(3, nu), 0),
     "r_nu_closed.nu": (lambda nu: r_nu_closed(3, nu), 0),
-    "count_orientable_subgroups.p": (lambda p: count_orientable_subgroups(p, 4), 2),
     "HomologySignature.rank": (lambda rank: HomologySignature(rank=rank), 0),
     "HomologySignature.torsion": (lambda t: HomologySignature(torsion=(t,)), 2),
 }

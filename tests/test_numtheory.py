@@ -2,9 +2,7 @@ import pytest
 
 from covercount.numtheory import _divisor_table, divisors, mobius
 
-from test_census import _load_reference
-
-euler_phi = _load_reference("epi_reference").euler_phi
+from epi_reference import euler_phi
 
 
 def test_divisors_examples():

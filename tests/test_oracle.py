@@ -1,7 +1,5 @@
-import importlib.util
 from itertools import combinations_with_replacement
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +12,6 @@ from covercount.census import (
     GroupKind,
     NonOrientableSurface,
     OrientableSurface,
-    count_nonorientable_subgroups,
-    count_orientable_subgroups,
     count_subgroups,
 )
 from covercount.classes import census_table, count_classes
@@ -30,9 +26,8 @@ from covercount.oracle import (
     oracle_orientable_split,
 )
 
-from test_census import _load_reference
-
-oracle_epi_count = _load_reference("epi_reference").oracle_epi_count
+import full_leaf_search
+from epi_reference import oracle_epi_count
 
 SMALL_GRID = [
     (Free(1), 6),
@@ -53,17 +48,6 @@ REFERENCE_GRID = SMALL_GRID + [
     (NonOrientableSurface(2), 12),
 ]
 
-REFERENCE = Path(__file__).resolve().parent / "full_leaf_search.py"
-
-
-@pytest.fixture(scope="module")
-def reference():
-    spec = importlib.util.spec_from_file_location("full_leaf_search", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_kernel_backend_reports_a_known_name():
     assert kernel_backend() == "python"
     assert oracle._kernels is _pykernels
@@ -83,10 +67,10 @@ def test_oracle_class_counts_match_formulas():
 
 def test_oracle_orientable_split_matches_formulas():
     for p, n_max in ((2, 5), (3, 4)):
+        kind = NonOrientableSurface(p)
         for n in range(1, n_max + 1):
-            plus, minus = oracle_orientable_split(p, n)
-            assert plus == count_orientable_subgroups(p, n), (p, n)
-            assert minus == count_nonorientable_subgroups(p, n), (p, n)
+            plus, minus = oracle_orientable_split(kind, n)
+            assert (plus, minus) == kind.split(n), (p, n)
 
 
 @st.composite
@@ -101,13 +85,13 @@ def test_oracle_matches_every_table_row(kind_and_bound):
     # The rows that table prints and verify checks, from the multi-index
     # driver, against the oracle.
     kind, n_max = kind_and_bound
-    for row in census_table(kind, n_max).rows:
+    for row in census_table(kind, n_max):
         n = row.n
         assert oracle_count_subgroups(kind, n) == row.subgroups, (kind, n)
         assert oracle_count_classes(kind, n) == row.conjugacy_classes, (kind, n)
         split = row.orientable_subgroups, row.nonorientable_subgroups
         if isinstance(kind, NonOrientableSurface):
-            assert oracle_orientable_split(kind.genus, n) == split, (kind, n)
+            assert oracle_orientable_split(kind, n) == split, (kind, n)
         else:
             assert split == (None, None), (kind, n)
 
@@ -129,11 +113,11 @@ def test_coset_search_matches_tuple_brute_force():
                 assert orientable == 0, (kind, n)
 
 
-def test_coset_search_matches_full_leaf_reference(reference):
+def test_coset_search_matches_full_leaf_reference():
     for kind, n_max in REFERENCE_GRID:
         rel, gens = _presentation(kind)
         for n in range(1, n_max + 1):
-            expected = reference.full_leaf_search(rel, gens, n)
+            expected = full_leaf_search.full_leaf_search(rel, gens, n)
             assert _coset_search(rel, gens, n) == expected, (kind, n)
 
 
@@ -194,7 +178,7 @@ def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
 def test_oracle_split_at_index_one():
     # The group itself is its only index-1 subgroup and is non-orientable.
     for p in range(2, 5):
-        assert oracle_orientable_split(p, 1) == (0, 1)
+        assert oracle_orientable_split(NonOrientableSurface(p), 1) == (0, 1)
 
 
 def test_oracle_epi_count_examples():
@@ -230,7 +214,9 @@ def test_oracle_epi_count_bounds():
 BUDGET_CASES = {
     "free:2 n=5 subgroups": (lambda: oracle_count_subgroups(Free(2), 5), 710, 461),
     "orient:2 n=3 classes": (lambda: oracle_count_classes(OrientableSurface(2), 3), 983, 100),
-    "nonorient:3 n=4 split": (lambda: oracle_orientable_split(3, 4), 792, (15, 212)),
+    "nonorient:3 n=4 split": (
+        lambda: oracle_orientable_split(NonOrientableSurface(3), 4), 792, (15, 212)
+    ),
 }
 
 
@@ -243,7 +229,7 @@ def test_feasibility_gate(monkeypatch, cold_package):
     with pytest.raises(ResourceLimitError, match="orient:2 at index 8"):
         oracle_count_classes(OrientableSurface(2), 8)
     with pytest.raises(ResourceLimitError, match="nonorient:3 at index 6"):
-        oracle_orientable_split(3, 6)
+        oracle_orientable_split(NonOrientableSurface(3), 6)
     # nonorient:2 at index 12 needs 220 nodes.
     assert oracle_count_subgroups(NonOrientableSurface(2), 12) == 28
 
@@ -277,13 +263,19 @@ def test_node_limit_applies_to_each_search_alone(monkeypatch, cold_package):
     assert oracle_count_subgroups(NonOrientableSurface(3), 4) == 227
 
 
-def test_oracle_rejects_a_non_family_argument_before_the_gate():
+def test_oracle_rejects_a_non_family_argument_before_the_gate(monkeypatch, cold_package):
+    # With no node to spend, any search would raise ResourceLimitError.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
     for bad in (object(), "free:2", None, GroupKind()):
         with pytest.raises(TypeError, match="unsupported group kind"):
             oracle_count_subgroups(bad, 2)
         with pytest.raises(TypeError, match="unsupported group kind"):
             oracle_count_classes(bad, 2)
         with pytest.raises(TypeError):
+            oracle_orientable_split(bad, 2)
+    # The split takes the non-orientable record only, not a bare genus.
+    for bad in (Free(2), OrientableSurface(1), 3):
+        with pytest.raises(TypeError, match="needs a NonOrientableSurface"):
             oracle_orientable_split(bad, 2)
 
 
@@ -299,4 +291,4 @@ def test_oracle_rejects_bool_and_non_int_indices():
         with pytest.raises(TypeError):
             oracle_count_classes(Free(2), bad)
         with pytest.raises(TypeError):
-            oracle_orientable_split(2, bad)
+            oracle_orientable_split(NonOrientableSurface(2), bad)

@@ -27,6 +27,9 @@ REMOVED = {
     "oracle_epi_count": oracle,
     "EPI_MAX_GENERATORS": oracle,
     "EPI_MAX_ORDER": oracle,
+    "count_orientable_subgroups": census,
+    "count_nonorientable_subgroups": census,
+    "CensusTable": classes,
 }
 
 

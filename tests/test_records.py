@@ -1,4 +1,4 @@
-"""The contract of the package's seven frozen records: positional and
+"""The contract of the package's six frozen records: positional and
 keyword construction with the same defaults, equality and hashing by class
 and fields, the exact reprs the README prints, no assignment or deletion,
 and copies and pickles that give equal records."""
@@ -10,15 +10,12 @@ import pytest
 
 from covercount import (
     CensusRow,
-    CensusTable,
     FiberClass,
     Free,
     HomologySignature,
     NonOrientableSurface,
     OrientableSurface,
 )
-
-ROW = CensusRow(2, 15, 7, 1, 14)
 
 # One record of each class, keyword-built, with its repr.
 RECORDS = [
@@ -35,11 +32,6 @@ RECORDS = [
         "CensusRow(n=1, subgroups=1, conjugacy_classes=1, orientable_subgroups=None, "
         "nonorientable_subgroups=None)",
     ),
-    (
-        CensusTable(kind=NonOrientableSurface(3), rows=(ROW,)),
-        "CensusTable(kind=NonOrientableSurface(genus=3), rows=(CensusRow(n=2, subgroups=15, "
-        "conjugacy_classes=7, orientable_subgroups=1, nonorientable_subgroups=14),))",
-    ),
 ]
 
 # The same records built positionally, in field order.
@@ -50,7 +42,6 @@ POSITIONAL = [
     NonOrientableSurface(3),
     FiberClass(HomologySignature((), 4), 1),
     CensusRow(1, 1, 1, None, None),
-    CensusTable(NonOrientableSurface(3), (CensusRow(2, 15, 7, 1, 14),)),
 ]
 
 IDS = [type(record).__name__ for record, _ in RECORDS]
