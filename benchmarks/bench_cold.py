@@ -17,13 +17,17 @@ Every timed run sets PYTHONDONTWRITEBYTECODE=1.  The cases, in CASES:
              M(1), ..., M(m) is built, at (400, 2), (250, 3) and (300, 6),
              the deepest free-group calls of perfbench's free-deep workload;
   table      census_table(Free(r), m) at (400, 2), cold, so both the
-             recursion and the class counts of every row run.
+             recursion and the class counts of every row run;
+  oracle     the coset search, _coset_search, cold, for free:2, orient:2
+             and nonorient:3 at every n up to (5, 4, 5), the 14 searches
+             of perfbench's oracle-verify workload.
 
 Each child prints one JSON line: when its timed job started on the
 time.perf_counter() clock (the same clock in every process), how long the
 job took, its peak RSS (ru_maxrss) and a sha256 of repr(values): the beta
-values, the list M(1), ..., M(m), the table's column N(1), ..., N(m), or
-the sorted modules the import loaded beyond those of a bare interpreter.
+values, the list M(1), ..., M(m), the table's column N(1), ..., N(m), the
+searches' (M, N, M+) triples, or the sorted modules the import loaded
+beyond those of a bare interpreter.
 Every run of a case must give the same digest, so a change that alters a
 value cannot pass as a speed-up.  In each repeat every case runs once, in
 turn, so slow drift hits all cases alike.
@@ -90,6 +94,15 @@ table = census_table(Free(r), m)
 seconds = time.perf_counter() - start
 values = [row.conjugacy_classes for row in table]
 """
+ORACLE = """
+from covercount.census import Free, NonOrientableSurface, OrientableSurface
+from covercount.oracle import _coset_search, _presentation
+kinds = (Free(2), OrientableSurface(2), NonOrientableSurface(3))
+searches = [(kind, n) for kind, top in zip(kinds, sys.argv[1:]) for n in range(1, int(top) + 1)]
+start = time.perf_counter()
+values = [_coset_search(*_presentation(kind), n) for kind, n in searches]
+seconds = time.perf_counter() - start
+"""
 REPORT = """
 import hashlib, json, resource
 print(json.dumps({
@@ -110,6 +123,7 @@ CASES = [
     ("free (250, 3)", "bytecode", FREE, (250, 3)),
     ("free (300, 6)", "bytecode", FREE, (300, 6)),
     ("census_table (400, 2)", "bytecode", TABLE, (400, 2)),
+    ("oracle (5, 4, 5)", "bytecode", ORACLE, (5, 4, 5)),
 ]
 
 

@@ -33,9 +33,9 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  At 7-10 us a node (CPython 3.11) this stops a search after about
-# 15-20 s: it admits free:2 n=9 (1.76M nodes) and orient:2 n=5 (0.62M), not
-# free:3 n=6 (3.3M) or orient:3 n=4 (19M).
+# visit.  At 4-7 us a node (CPython 3.11 on a 2-CPU x86-64 host) this stops
+# a search after about 8-10 s: it admits free:2 n=9 (1.76M nodes) and
+# orient:2 n=5 (0.62M), not free:3 n=6 (3.3M) or orient:3 n=4 (19M).
 NODE_LIMIT = 2_000_000
 
 
@@ -93,6 +93,10 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     edge for every place its generator occurs in the relator.  A trace of
     full length that does not close prunes the branch; one that lacks a
     single edge forces that edge (a deduction, processed the same way).
+    Where the relator has the generator's inverse, the trace reads the
+    inverse relator, the same cycle the other way round, so every trace
+    starts at x.g and must end at x.  Each place is built once per search
+    as a list of columns to read, so a trace indexes nothing but them.
 
     Re-standardising a table from base point b gives the standard table of
     b's stabiliser, so the tables of one conjugacy class are the
@@ -119,65 +123,86 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     word = _relator(rel, gens)
     length = len(word)
     fwd = [[-1] * n for _ in range(gens)]
-    maps = fwd + [[-1] * n for _ in range(gens)]
-    # For each generator, the places it occurs in the relator: its letter
-    # there, the letters after it, and the inverses of the letters before
-    # it, each list in the order a trace away from that place reads them.
+    inv = [[-1] * n for _ in range(gens)]
+    # The column of each letter: generator g's is fwd[g], its inverse's inv[g].
+    maps = fwd + inv
+    # For each generator, the places it occurs in the relator.  A place is
+    # read in the relator, or for an inverse letter in the inverse relator,
+    # so that the generator itself stands there.  It is a list of steps, one
+    # per letter after the place, in the order a trace from x.g reads them.
+    # Step i holds that letter's column; the columns of the inverses of the
+    # length - 2 - i letters before the place, nearest first, which a trace
+    # stopped at step i reads back from x; and the letter, which names the
+    # one edge missing when all of those are defined.
     places = [[] for _ in range(gens)]
     for j, letter in enumerate(word):
         ahead = [word[(j + 1 + i) % length] for i in range(length - 1)]
         behind = [(word[(j - 1 - i) % length] + gens) % (2 * gens) for i in range(length - 1)]
-        places[letter % gens].append((letter, ahead, behind))
+        if letter >= gens:
+            ahead, behind = behind, ahead
+        places[letter % gens].append(
+            [(maps[a], [maps[c] for c in behind[: length - 2 - i]], a) for i, a in enumerate(ahead)]
+        )
+    # Every edge x.g = y defined, as (places of g, column, x, inverse
+    # column, y): undo resets its two cells, and define reads it as the
+    # queue of edges still to trace.
     trail = []
     totals = [0, 0, 0]
 
     def define(x, g, y):
-        # Set x.g = y and follow the relator through every new edge; False
-        # when a trace fails to close.  Edges defined stay on the trail.
-        pending = [(x, g, y)]
-        while pending:
-            x, g, y = pending.pop()
-            if maps[g][x] >= 0 or maps[gens + g][y] >= 0:
-                # A deduced edge that is already there, or that clashes
-                # with another edge at either end.
-                if maps[g][x] == y:
-                    continue
-                return False
-            maps[g][x] = y
-            maps[gens + g][y] = x
-            trail.append((x, g, y))
-            for letter, ahead, behind in places[g]:
-                # The trace crosses the edge u -> v; an inverse letter
-                # crosses x.g = y from y to x.
-                u, v = (x, y) if letter == g else (y, x)
-                f = v
-                reach = 0
-                for a in ahead:
-                    nxt = maps[a][f]
+        # Set x.g = y, both ends free, and follow the relator through every
+        # new edge; False when a trace fails to close.  Edges defined stay
+        # on the trail.
+        column = fwd[g]
+        inverse = inv[g]
+        column[x] = y
+        inverse[y] = x
+        i = len(trail)
+        trail.append((places[g], column, x, inverse, y))
+        while i < len(trail):
+            own, _, x, _, y = trail[i]
+            i += 1
+            for place in own:
+                # Read the relator on from x.g = y; it must come back to x.
+                f = y
+                for step, behind, gap in place:
+                    nxt = step[f]
                     if nxt < 0:
                         break
                     f = nxt
-                    reach += 1
                 else:
-                    if f != u:
+                    if f != x:
                         return False
                     continue
-                gap = ahead[reach]
-                b = u
-                for a in behind[: length - 2 - reach]:
-                    b = maps[a][b]
+                b = x
+                for step in behind:
+                    b = step[b]
                     if b < 0:
                         break
                 else:
                     # Exactly one edge is missing: f.gap = b.
-                    pending.append((f, gap, b) if gap < gens else (b, gap - gens, f))
+                    if gap < gens:
+                        u, h, v = f, gap, b
+                    else:
+                        u, h, v = b, gap - gens, f
+                    column = fwd[h]
+                    inverse = inv[h]
+                    if column[u] >= 0 or inverse[v] >= 0:
+                        # The edge is already there, or it clashes with
+                        # another edge at either end.
+                        if column[u] == v:
+                            continue
+                        return False
+                    column[u] = v
+                    inverse[v] = u
+                    trail.append((places[h], column, u, inverse, v))
         return True
 
     def undo(mark):
-        while len(trail) > mark:
-            x, g, y = trail.pop()
-            maps[g][x] = -1
-            maps[gens + g][y] = -1
+        for _, column, x, inverse, y in trail[mark:]:
+            column[x] = -1
+            inverse[y] = -1
+        del trail[mark:]
 
     def leaf():
         images = tuple(tuple(column) for column in fwd)
@@ -218,22 +243,31 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             if fwd[g][x] < 0:
                 break
             g += 1
-        image = maps[gens + g]
+        image = inv[g]
         mark = len(trail)
         for y in range(count + (count < n)):
             if image[y] < 0:
                 if define(x, g, y):
-                    # Prune when a base undercuts the table; a new coset
-                    # y joins the bases, one already larger drops out.
+                    # Prune when a base undercuts the table; one already
+                    # larger drops out.
                     kept = []
-                    for base in live + [y] if y == count else live:
+                    for base in live:
                         order = _compare(fwd, n, base)
                         if order == -1:
                             break
                         if order != 1:
                             kept.append(base)
                     else:
-                        descend(x, g + 1, max(count, y + 1), kept)
+                        if y < count:
+                            descend(x, g + 1, count, kept)
+                        else:
+                            # The new coset y joins the bases, compared
+                            # once, after the live ones.
+                            order = _compare(fwd, n, y)
+                            if order != -1:
+                                if order != 1:
+                                    kept.append(y)
+                                descend(x, g + 1, count + 1, kept)
                 undo(mark)
 
     descend(0, 0, 1, [])

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from covercount.census import Free, free_subgroups
+from covercount.census import Free, NonOrientableSurface, OrientableSurface, free_subgroups
 from covercount.characters import beta
 from covercount.classes import census_table
+from covercount.oracle import _coset_search, _presentation
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_cold.py"
 NUS = (0, 1, 2, 3, 4, 6)
@@ -43,6 +44,15 @@ def table_values(m, r):
     return [row.conjugacy_classes for row in census_table(Free(r), m)]
 
 
+def oracle_values(*tops):
+    kinds = (Free(2), OrientableSurface(2), NonOrientableSurface(3))
+    return [
+        _coset_search(*_presentation(kind), n)
+        for kind, top in zip(kinds, tops)
+        for n in range(1, top + 1)
+    ]
+
+
 @pytest.mark.parametrize(
     "values, args, expected",
     [
@@ -51,8 +61,9 @@ def table_values(m, r):
         (free_values, (250, 3), "b9ff846cd748e59178d29ef5361c946f3a2b741122c20c499401311c9138f828"),
         (free_values, (300, 6), "bbde71eaf404cabcf0f839f606dc03c56a6381c60e470f0ce13628c24c326304"),
         (table_values, (400, 2), "3349f68fe6babc3d97a320578a56b81aa96b290ca6d9f06b2000554e3cd39758"),
+        (oracle_values, (5, 4, 5), "9cde7c2a373ab9eaad612efffe386af8a0d02a466faecde8a723a84e60d5d5ef"),
     ],
-    ids=["beta-28", "free-400-2", "free-250-3", "free-300-6", "table-400-2"],
+    ids=["beta-28", "free-400-2", "free-250-3", "free-300-6", "table-400-2", "oracle-5-4-5"],
 )
 def test_benchmark_digests_are_pinned(values, args, expected):
     assert digest(values(*args)) == expected
@@ -60,8 +71,13 @@ def test_benchmark_digests_are_pinned(values, args, expected):
 
 @pytest.mark.parametrize(
     "snippet, values, args",
-    [("BETA", beta_values, (6,)), ("FREE", free_values, (12, 3)), ("TABLE", table_values, (12, 3))],
-    ids=["beta", "free", "table"],
+    [
+        ("BETA", beta_values, (6,)),
+        ("FREE", free_values, (12, 3)),
+        ("TABLE", table_values, (12, 3)),
+        ("ORACLE", oracle_values, (3, 2, 3)),
+    ],
+    ids=["beta", "free", "table", "oracle"],
 )
 def test_child_digest_is_the_value_list(bench, snippet, values, args):
     record = bench.run_once(getattr(bench, snippet), bench.PACKAGE.parent, args)

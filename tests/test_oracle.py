@@ -210,12 +210,18 @@ def test_oracle_epi_count_bounds():
 
 
 # One call per counter and relation: the descend entries of its coset
-# search, and its result.
+# search, and its result.  The last two are the heaviest searches of
+# perfbench's oracle-verify workload (orient:2 n=4 has M = 5,275): their
+# exact node counts tie that workload's times to the same search tree.
 BUDGET_CASES = {
     "free:2 n=5 subgroups": (lambda: oracle_count_subgroups(Free(2), 5), 710, 461),
     "orient:2 n=3 classes": (lambda: oracle_count_classes(OrientableSurface(2), 3), 983, 100),
     "nonorient:3 n=4 split": (
         lambda: oracle_orientable_split(NonOrientableSurface(3), 4), 792, (15, 212)
+    ),
+    "orient:2 n=4 classes": (lambda: oracle_count_classes(OrientableSurface(2), 4), 19602, 1615),
+    "nonorient:3 n=5 split": (
+        lambda: oracle_orientable_split(NonOrientableSurface(3), 5), 4955, (0, 1296)
     ),
 }
 
