@@ -35,7 +35,9 @@ turn, so slow drift hits all cases alike.
 Times are taken as perfbench/run.py takes them: the harness pins itself,
 and so every child, to one CPU and keeps perfbench's speed probe running
 beside them, and each run's time is also scaled to the probe's reference
-speed by run.scaled().  A run with no probe sample near it has no scaled
+speed by run.scaled().  The report's first line names the CPU, and probe
+scaling does not make two CPUs comparable, so a before/after must run both
+sides on the same CPU.  A run with no probe sample near it has no scaled
 time and is left out of the scaled series.  Per case the report gives the
 raw and the scaled median and quartiles, the largest peak RSS and the
 digest; then the modules the import loads.  Stdlib and perfbench/run.py
@@ -169,7 +171,8 @@ def main(argv=None):
     if options.repeats < 2:
         parser.error("--repeats must be at least 2, for quartiles")
 
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
     records = {label: [] for label, *_ in CASES}
     with tempfile.TemporaryDirectory() as scratch:
         copies = {name: Path(scratch, name) for name in ("source", "bytecode")}
@@ -183,7 +186,7 @@ def main(argv=None):
                     records[label].append(run_once(snippet, copies[copy], args))
         modules = child(IMPORT + "print(*values)", copies["source"]).split()
 
-    print(f"cold runs, {options.repeats} per case, pinned to one CPU, "
+    print(f"cold runs, {options.repeats} per case, pinned to CPU {cpu}, "
           f"{len(samples)} probe samples")
     for label, runs in records.items():
         digests = {r["sha256"] for r in runs}

@@ -5,17 +5,18 @@ fibers: summing, over every divisor ell of n with m = n / ell, the number
 of epimorphisms from each index-m subgroup onto the cyclic group of order
 ell (weighted by multiplicity) yields exactly n * N(n).  Only the
 abelianisation of each subgroup enters, which is what the family record's
-fiber(m) provides.
+fiber(m) provides.  The ell = 1 term is M(n), the row's subgroup count.
 
-Over all n this sum is a Dirichlet convolution, so one driver serves a
-set of target indices: count_classes asks it for {n}, census_table for
+Over all n this sum is a Dirichlet convolution, so one pass serves a set
+of target indices: count_classes asks it for {n}, census_table for
 1..n_max.  It builds each fiber once per m, takes divisors and Mobius
-values for every target from one divisor table, and checks each total is
-divisible by n before dividing; a failure means the fiber data is wrong.
+values from one divisor table, checks that each total is divisible by n
+(else the fiber data is wrong), and checks N <= M <= n N and M+ + M- = M
+in every row.
 """
 
 from .abelian import _epi_count
-from .census import GroupKind, check_kind, count_subgroups
+from .census import GroupKind, check_kind
 from .errors import ConsistencyError, Record, check_index
 from .numtheory import _divisor_table
 
@@ -39,15 +40,20 @@ class CensusRow(Record):
 
 def count_classes(kind: GroupKind, n: int) -> int:
     """Conjugacy classes of index-n subgroups of the given group."""
-    return _class_counts(kind, (check_index(n),))[0]
+    return _rows(kind, (check_index(n),))[0].conjugacy_classes
 
 
-def _class_counts(kind: GroupKind, targets) -> list[int]:
-    # N(n) for each n of targets, by the sum of the module docstring.
+def census_table(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
+    """Census rows for n = 1..n_max, with the split for non-orientable groups."""
+    return _rows(kind, range(1, check_index(n_max, "n_max") + 1))
+
+
+def _rows(kind: GroupKind, targets) -> tuple[CensusRow, ...]:
+    # One checked row for each n of targets, in their order.
     check_kind(kind)
     divisors, mobius = _divisor_table(targets)
     fibers = {}
-    counts = []
+    rows = []
     for n in targets:
         acc = 0
         for ell in divisors[n]:
@@ -58,11 +64,14 @@ def _class_counts(kind: GroupKind, targets) -> list[int]:
                 fibers[m] = kind.fiber(m)
             for fiber in fibers[m]:
                 acc += fiber.multiplicity * _epi_count(fiber.signature, ell, divisors[ell], mobius)
-        count, rem = divmod(acc, n)
+        classes, rem = divmod(acc, n)
         if rem:
             raise ConsistencyError(f"epimorphism total {acc} not divisible by n = {n}")
-        counts.append(count)
-    return counts
+        subgroups = sum(fiber.multiplicity for fiber in fibers[n])
+        row = CensusRow(n, subgroups, classes, *(kind.split(n) or ()))
+        _check_row(row)
+        rows.append(row)
+    return tuple(rows)
 
 
 def _check_row(row: CensusRow) -> None:
@@ -72,14 +81,3 @@ def _check_row(row: CensusRow) -> None:
     if row.orientable_subgroups is not None:
         if row.orientable_subgroups + row.nonorientable_subgroups != row.subgroups:
             raise ConsistencyError(f"orientability split does not sum in {row}")
-
-
-def census_table(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
-    """Census rows for n = 1..n_max, with the split for non-orientable groups."""
-    targets = range(1, check_index(n_max, "n_max") + 1)
-    rows = []
-    for n, classes in zip(targets, _class_counts(kind, targets)):
-        row = CensusRow(n, count_subgroups(kind, n), classes, *(kind.split(n) or ()))
-        _check_row(row)
-        rows.append(row)
-    return tuple(rows)

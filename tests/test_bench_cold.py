@@ -128,7 +128,9 @@ def assert_exits_on_disagreement(bench, monkeypatch):
 def test_main_reports_both_series_and_the_modules(bench, cpus, monkeypatch, capsys):
     pycache = bench.PACKAGE / "__pycache__"
     before = sorted(pycache.glob("*"))
+    cpu = min(os.sched_getaffinity(0))
     lines = report(bench, monkeypatch, capsys, bench.CASES[:2])
+    assert lines[0].startswith(f"cold runs, 2 per case, pinned to CPU {cpu}, ")
     assert " covercount.census " in lines[-1] and "covercount.oracle" not in lines[-1]
     assert sorted(pycache.glob("*")) == before
     with pytest.raises(SystemExit):

@@ -177,27 +177,56 @@ def test_census_table_bounds():
             assert row.subgroups <= row.n * row.conjugacy_classes
 
 
-# A subgroup count patched at one index of a table, and the row check it
-# must trip: nonorient:3 has (M, M+, M-, N) = (7, 1, 6, 7) at n = 2, free:2
-# has (M, N) = (13, 7) at n = 3.
+def _scale_epi_counts(factor):
+    def inject(monkeypatch):
+        real = classes._epi_count
+        monkeypatch.setattr(classes, "_epi_count", lambda *args: factor * real(*args))
+
+    return inject
+
+
+def _two_more_nonorientable_at_index_two(monkeypatch):
+    real = NonOrientableSurface.fiber
+
+    def wrong(self, m):
+        fiber = real(self, m)
+        if m == 2:
+            plus, minus = fiber
+            fiber = [plus, FiberClass(minus.signature, minus.multiplicity + 2)]
+        return fiber
+
+    monkeypatch.setattr(NonOrientableSurface, "fiber", wrong)
+
+
+# A fault injected where the row pass reads, the row check it must trip,
+# and where: count_classes(kind, n) trips it with (M, N) = counts, and
+# census_table(kind, n) at row first.  Unpatched, free:2 has (M, N) =
+# (1, 1) at n = 1 and (13, 7) at n = 3; nonorient:3 has (M, M+, M-, N) =
+# (7, 1, 6, 7) at n = 2.
 ROW_FAULTS = {
-    "split sum": (NonOrientableSurface(3), 2, lambda m: m + 1, "orientability split does not sum"),
-    "N <= M": (Free(2), 3, lambda m: 0, "subgroup/class bounds violated"),
-    "M <= n N": (Free(2), 3, lambda m: 3 * 7 + 1, "subgroup/class bounds violated"),
+    # M- raised from 6 to 8 in the fiber at 2: M = 9 against split(2) = (1, 6).
+    "split sum": (NonOrientableSurface(3), 2, (9, 8), 2, _two_more_nonorientable_at_index_two,
+                  "orientability split does not sum"),
+    # Every epimorphism count doubled, at every index: N = 2 M.
+    "N <= M": (Free(2), 3, (13, 14), 1, _scale_epi_counts(2), "subgroup/class bounds violated"),
+    # No epimorphisms, so N = 0.  The ell = 1 term makes M <= n N hold by
+    # construction, so this half of the check guards only _epi_count.
+    "M <= n N": (Free(2), 3, (13, 0), 1, _scale_epi_counts(0), "subgroup/class bounds violated"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
 def test_row_checks_fire(monkeypatch, fault):
-    kind, n, patch, message = ROW_FAULTS[fault]
-    real = classes.count_subgroups
-
-    def wrong(kind, m):
-        return patch(real(kind, m)) if m == n else real(kind, m)
-
-    monkeypatch.setattr(classes, "count_subgroups", wrong)
-    assert len(census_table(kind, n - 1)) == n - 1
-    with pytest.raises(ConsistencyError, match=f"^{message} in CensusRow\\(n={n}, "):
+    kind, n, (subgroups, conjugacy_classes), first, inject, message = ROW_FAULTS[fault]
+    inject(monkeypatch)
+    row = f"^{message} in CensusRow\\(n="
+    with pytest.raises(ConsistencyError, match=(
+        f"{row}{n}, subgroups={subgroups}, conjugacy_classes={conjugacy_classes}, "
+    )):
+        count_classes(kind, n)
+    if first > 1:
+        assert len(census_table(kind, first - 1)) == first - 1
+    with pytest.raises(ConsistencyError, match=f"{row}{first}, "):
         census_table(kind, n)
 
 
@@ -233,13 +262,20 @@ def test_free_class_columns_match_the_euler_transform(r, n_max):
     assert [row.conjugacy_classes for row in table] == euler_transform.class_counts(n_max, r)
 
 
-@pytest.mark.parametrize(
-    "kind, n_max",
-    [(Free(2), 20), (OrientableSurface(1), 20), (OrientableSurface(2), 16),
-     (OrientableSurface(3), 12), (NonOrientableSurface(2), 20),
-     (NonOrientableSurface(3), 16), (NonOrientableSurface(5), 12)],
-    ids=str,
-)
+# (kind, n_max): the first seven stop inside surface-sweep's range, the
+# next eight reach its n = 28 on each of its families, the last two reach
+# n = 45 on one family of each surface kind.
+BURNSIDE_CASES = [
+    (Free(2), 20), (OrientableSurface(1), 20), (OrientableSurface(2), 16),
+    (OrientableSurface(3), 12), (NonOrientableSurface(2), 20),
+    (NonOrientableSurface(3), 16), (NonOrientableSurface(5), 12),
+    *[(OrientableSurface(g), 28) for g in range(1, 5)],
+    *[(NonOrientableSurface(p), 28) for p in range(2, 6)],
+    (OrientableSurface(2), 45), (NonOrientableSurface(3), 45),
+]
+
+
+@pytest.mark.parametrize("kind, n_max", BURNSIDE_CASES, ids=str)
 def test_class_columns_match_the_burnside_route(kind, n_max):
     # The surfaces beyond the oracle's reach: the route shares only the
     # covering fibers with the class driver's Mobius and epimorphism step.

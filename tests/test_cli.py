@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from covercount import cli, oracle
-from covercount.census import Free, NonOrientableSurface, OrientableSurface
+from covercount.census import FiberClass, Free, NonOrientableSurface, OrientableSurface
 from covercount.cli import main, parse_group_spec
 from covercount.errors import ConsistencyError
 
@@ -172,21 +172,36 @@ def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
-    # The wrong count goes where census_table reads M, the formula side of
-    # verify.
-    import covercount.classes as classes
+    # The wrong fiber goes where census_table reads M and N, the formula
+    # side of verify: three more index-3 subgroups, one conjugacy class of
+    # them, which no row check can see.
+    real = Free.fiber
 
-    real = classes.count_subgroups
+    def wrong(self, m):
+        fiber = real(self, m)
+        if m == 3:
+            (one,) = fiber
+            fiber = [FiberClass(one.signature, one.multiplicity + 3)]
+        return fiber
 
-    def wrong(kind, n):
-        return real(kind, n) + (1 if n == 3 else 0)
-
-    monkeypatch.setattr(classes, "count_subgroups", wrong)
+    monkeypatch.setattr(Free, "fiber", wrong)
     code, out, _ = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "3")
     assert code == 1
     lines = out.strip().split("\n")
-    assert lines[2] == "n=3 FAIL M=14!=13 N=7"
+    assert lines[2] == "n=3 FAIL M=16!=13 N=8!=7"
     assert lines[0].startswith("n=1 PASS")
+
+
+def test_count_classes_gets_the_row_checks(capsys, monkeypatch):
+    # No epimorphisms: N = 0 breaks M <= n N, which count --what classes
+    # reports as table does, an internal fault.
+    import covercount.classes as classes
+
+    monkeypatch.setattr(classes, "_epi_count", lambda *args: 0)
+    for argv in (["count", "--what", "classes", "--index", "3"], ["table", "--max-index", "3"]):
+        code, out, err = run_cli(capsys, *argv, "--group", "free:2")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: subgroup/class bounds violated in CensusRow(n=")
 
 
 def test_verify_reads_one_census_table(capsys, monkeypatch):
