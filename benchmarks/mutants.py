@@ -102,20 +102,46 @@ MUTANTS = {
         "if False:",
         "tests/test_oracle.py::test_coset_search_rechecks_its_results",
     ),
+    "leaf bad table": (
+        "src/covercount/oracle.py",
+        "raise ConsistencyError(f\"coset search produced a bad table {images}\")",
+        "pass",
+        "tests/test_oracle.py::test_coset_search_rechecks_its_results",
+    ),
+    "leaf least table": (
+        "src/covercount/oracle.py",
+        "if orders[0] != 0 or -1 in orders or None in orders:",
+        "if False:",
+        "tests/test_oracle.py::test_coset_search_rechecks_its_results",
+    ),
+    # A trace of full length that fails to close no longer prunes.
+    "trace closure": (
+        "src/covercount/oracle.py",
+        "if f != x:",
+        "if False:",
+        "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+    ),
+    # A deduced edge that clashes is skipped instead of pruning the branch.
+    "deduction clash": (
+        "src/covercount/oracle.py",
+        "another edge already uses b.\n                        return False",
+        "another edge already uses b.\n                        continue",
+        "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+    ),
+    # The new coset joins the bases uncompared: the same results, but
+    # orient:2 n = 5 visits 13 more nodes, over criterion 4's exact limit.
+    "new base uncompared": (
+        "src/covercount/oracle.py",
+        "kept = []\n                    for base in live if y < count else live + [y]:",
+        "kept = [] if y < count else [y]\n                    for base in live:",
+        "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+    ),
     # Known survivor: the search's final guard cannot fire, since each leaf
     # adds 1 to N and a divisor of n, between 1 and n, to M.
     "search N <= M <= n N": (
         "src/covercount/oracle.py",
         "if not classes <= subgroups <= n * classes:",
         "if False:",
-        None,
-    ),
-    # Known survivor: the comparison of a new coset's base, right after the
-    # define that opens it, has never been seen to prune.
-    "new base uncompared": (
-        "src/covercount/oracle.py",
-        "order = _compare(fwd, n, y)",
-        "order = None",
         None,
     ),
 }

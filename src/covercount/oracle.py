@@ -103,16 +103,17 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     re-standardisations of any one of them.  The search keeps only tables
     that can still be the least of theirs: after each define it compares
     the table with its re-standardisation from every live base (_compare)
-    and prunes the branch when one is already smaller.  A base whose
-    re-standardisation is already larger stays larger in every completion
-    and leaves the live list handed down; each coset a define opens joins
-    it.  So the search reaches exactly one leaf per conjugacy class.  At a
-    leaf the bases whose re-standardisation equals the table number
-    [N(H):H], and the class holds n / [N(H):H] subgroups: that adds to M,
-    one to N, and to M+ when the stabiliser is orientable (squares relation
-    only; orientability is shared by conjugates, since the orientation
-    character's kernel is normal).  Every leaf is re-checked with the tuple
-    kernels' relation and transitivity tests and against every base.
+    and prunes the branch when one is already smaller.  A coset the define
+    opens is a new base, compared in the same loop after the live ones.  A
+    base whose re-standardisation is already larger stays larger in every
+    completion and leaves the live list handed down.  So the search reaches
+    exactly one leaf per conjugacy class.  At a leaf the bases whose
+    re-standardisation equals the table number [N(H):H], and the class
+    holds n / [N(H):H] subgroups: that adds to M, one to N, and to M+ when
+    the stabiliser is orientable (squares relation only; orientability is
+    shared by conjugates, since the orientation character's kernel is
+    normal).  Every leaf is re-checked with the tuple kernels' relation and
+    transitivity tests and against every base.
 
     Each entry to descend is one node.  The search raises ResourceLimitError
     once it has visited more than NODE_LIMIT nodes, read when it starts; the
@@ -188,10 +189,10 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
                     column = fwd[h]
                     inverse = inv[h]
                     if column[u] >= 0 or inverse[v] >= 0:
-                        # The edge is already there, or it clashes with
-                        # another edge at either end.
-                        if column[u] == v:
-                            continue
+                        # A clash at the far end b: the trace stopped at f,
+                        # on the empty cell column[u] (gap < gens) or
+                        # inverse[v] (gap >= gens), so the edge is not
+                        # there and another edge already uses b.
                         return False
                     column[u] = v
                     inverse[v] = u
@@ -249,25 +250,17 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             if image[y] < 0:
                 if define(x, g, y):
                     # Prune when a base undercuts the table; one already
-                    # larger drops out.
+                    # larger drops out.  A new coset y joins the bases,
+                    # compared after the live ones.
                     kept = []
-                    for base in live:
+                    for base in live if y < count else live + [y]:
                         order = _compare(fwd, n, base)
                         if order == -1:
                             break
                         if order != 1:
                             kept.append(base)
                     else:
-                        if y < count:
-                            descend(x, g + 1, count, kept)
-                        else:
-                            # The new coset y joins the bases, compared
-                            # once, after the live ones.
-                            order = _compare(fwd, n, y)
-                            if order != -1:
-                                if order != 1:
-                                    kept.append(y)
-                                descend(x, g + 1, count + 1, kept)
+                        descend(x, g + 1, count + (y == count), kept)
                 undo(mark)
 
     descend(0, 0, 1, [])

@@ -6,7 +6,8 @@ the first-column hook lengths h_i = parts[i] + len(parts) - 1 - i,
     H = prod_i h_i! / prod_{i<j} (h_i - h_j).
 
 They share no code with covercount's branching rule, so the tests check
-every hook spectrum against them.
+every hook spectrum against them.  partition_count(k) counts the partitions
+by the coin-style recurrence, which shares no code with either.
 
 The tests import it by name: pytest puts tests/ on sys.path.
 """
@@ -37,6 +38,15 @@ def partitions(k: int) -> list[tuple[int, ...]]:
 
     descend(k, k)
     return out
+
+
+def partition_count(k: int) -> int:
+    """p(k), the number of partitions of k, by the coin-style recurrence."""
+    table = [1] + [0] * k
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            table[total] += table[total - part]
+    return table[k]
 
 
 def hook_product(parts) -> int:

@@ -10,19 +10,9 @@ from covercount.characters import beta, hook_spectrum
 from covercount.errors import ConsistencyError
 
 import partition_reference
-from partition_reference import hook_product, partitions
+from partition_reference import hook_product, partition_count, partitions
 
 EXPONENTS = (0, 1, 2, 3, 4, 6)
-
-
-def _partition_count(k):
-    # Independent count of partitions by the coin-style recurrence, so the
-    # enumeration route is checked against something it does not share.
-    table = [1] + [0] * k
-    for part in range(1, k + 1):
-        for total in range(part, k + 1):
-            table[total] += table[total - part]
-    return table[k]
 
 
 def _conjugate(parts):
@@ -78,7 +68,7 @@ def test_partitions_returns_a_fresh_list_of_int_tuples():
     assert all(type(parts) is tuple for parts in first)
     assert all(type(part) is int for parts in first for part in parts)
     first.clear()
-    assert len(partitions(6)) == _partition_count(6)
+    assert len(partitions(6)) == partition_count(6)
 
 
 def test_partition_conjugate():
@@ -116,7 +106,7 @@ def test_partitions_lexicographically_decreasing():
 def test_partitions_count_matches_recurrence():
     assert len(partitions(10)) == 42
     for k in range(1, 21):
-        assert len(partitions(k)) == _partition_count(k)
+        assert len(partitions(k)) == partition_count(k)
 
 
 def test_degree_examples():
