@@ -132,9 +132,25 @@ MUTANTS = {
     # orient:2 n = 5 visits 13 more nodes, over criterion 4's exact limit.
     "new base uncompared": (
         "src/covercount/oracle.py",
-        "kept = []\n                    for base in live if y < count else live + [y]:",
-        "kept = [] if y < count else [y]\n                    for base in live:",
+        "kept = []\n                    for state in live if y < count else live + [_start(n, y)]:",
+        "kept = [] if y < count else [_start(n, y)]\n                    for state in live:",
         "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+    ),
+    # A base that an undefined entry once stopped is never resumed, so the
+    # search stops pruning by it and reaches leaves that are not least.
+    "blocked base kept unchecked": (
+        "src/covercount/oracle.py",
+        "if block[cell] >= 0:",
+        "if block is _OPEN:",
+        "tests/test_acceptance.py::test_criterion_1_free_rank_two_subgroup_counts",
+    ),
+    # A resumed comparison extends the lists of the state it was given, so
+    # a sibling branch resumes a renumbering that is no longer the parent's.
+    "resume writes into its state": (
+        "src/covercount/oracle.py",
+        "_resume(fwd, new[:], old[:], row, at)",
+        "_resume(fwd, new, old, row, at)",
+        "tests/test_acceptance.py::test_criterion_1_free_rank_two_subgroup_counts",
     ),
     # Known survivor: the search's final guard cannot fire, since each leaf
     # adds 1 to N and a divisor of n, between 1 and n, to M.

@@ -33,9 +33,11 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  At 4-7 us a node (CPython 3.11 on a 2-CPU x86-64 host) this stops
-# a search after about 8-10 s: it admits free:2 n=9 (1.76M nodes) and
-# orient:2 n=5 (0.62M), not free:3 n=6 (3.3M) or orient:3 n=4 (19M).
+# visit.  In process a node costs about 4.9 us on free:2 n=7, 5.2 us on
+# orient:2 n=4 and 5.8 us on nonorient:3 n=6 (CPython 3.11 on a 2-CPU x86-64
+# host, CPU time at perfbench's probe reference speed), and verify stops at
+# the limit after 9-14 s on a busy host: it admits free:2 n=9 (1.76M nodes)
+# and orient:2 n=5 (0.62M), not free:3 n=6 (3.3M) or orient:3 n=4 (19M).
 NODE_LIMIT = 2_000_000
 
 
@@ -101,11 +103,14 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     Re-standardising a table from base point b gives the standard table of
     b's stabiliser, so the tables of one conjugacy class are the
     re-standardisations of any one of them.  The search keeps only tables
-    that can still be the least of theirs: after each define it compares
-    the table with its re-standardisation from every live base (_compare)
-    and prunes the branch when one is already smaller.  A coset the define
-    opens is a new base, compared in the same loop after the live ones.  A
-    base whose re-standardisation is already larger stays larger in every
+    that can still be the least of theirs.  Each live base holds the state
+    of its comparison with that re-standardisation (_compare): renumbering,
+    slot reached, and the undefined entry that stopped it.  After each
+    define a base still stopped by that entry is kept unread; any other
+    resumes from its slot on copies (_resume), so siblings see the parent's
+    states, and the branch is pruned when one is already smaller.  A coset
+    the define opens is a new base, compared after the live ones.  A base
+    whose re-standardisation is already larger stays larger in every
     completion and leaves the live list handed down.  So the search reaches
     exactly one leaf per conjugacy class.  At a leaf the bases whose
     re-standardisation equals the table number [N(H):H], and the class
@@ -250,15 +255,19 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             if image[y] < 0:
                 if define(x, g, y):
                     # Prune when a base undercuts the table; one already
-                    # larger drops out.  A new coset y joins the bases,
+                    # larger drops out, one still stopped by an undefined
+                    # cell stays unread.  A new coset y joins the bases,
                     # compared after the live ones.
                     kept = []
-                    for base in live if y < count else live + [y]:
-                        order = _compare(fwd, n, base)
-                        if order == -1:
-                            break
-                        if order != 1:
-                            kept.append(base)
+                    for state in live if y < count else live + [_start(n, y)]:
+                        block, cell, new, old, row, at = state
+                        if block[cell] >= 0:
+                            order, state = _resume(fwd, new[:], old[:], row, at)
+                            if order == -1:
+                                break
+                            if order == 1:
+                                continue
+                        kept.append(state)
                     else:
                         descend(x, g + 1, count + (y == count), kept)
                 undo(mark)
@@ -283,24 +292,47 @@ def _compare(fwd: list[list[int]], n: int, base: int) -> int | None:
     """
     new = [-1] * n
     new[base] = 0
-    old = [base]
-    for row in range(n):
-        if row == len(old):
-            # The cosets reached so far are closed: not a complete table.
-            return None
+    return _resume(fwd, new, [base], 0, 0)[0]
+
+
+# A cell never undefined: the block of a comparison that no undefined entry
+# has stopped, so the search always resumes it.
+_OPEN = (0,)
+
+
+def _start(n: int, base: int) -> tuple:
+    # The state of a comparison from base that has read nothing yet.
+    new = [-1] * n
+    new[base] = 0
+    return _OPEN, 0, new, [base], 0, 0
+
+
+def _resume(fwd: list[list[int]], new: list[int], old: list[int], row: int, g: int) -> tuple:
+    # Go on with a comparison (_compare) from slot (row, g), extending its
+    # renumbering new and old (new[old[i]] == i) in place: its order, and the
+    # state (column, cell, new, old, row, g) it stops in, column[cell] being
+    # the undefined entry that stopped it.
+    size = len(old)
+    gens = len(fwd)
+    while row < size:
         source = old[row]
-        for column in fwd:
+        for g in range(g, gens):
+            column = fwd[g]
             entry = column[row]
             y = column[source]
             if entry < 0 or y < 0:
-                return None
+                return None, (column, row if entry < 0 else source, new, old, row, g)
             renamed = new[y]
             if renamed < 0:
-                renamed = new[y] = len(old)
+                renamed = new[y] = size
                 old.append(y)
+                size += 1
             if renamed != entry:
-                return -1 if renamed < entry else 1
-    return 0
+                return (-1, None) if renamed < entry else (1, None)
+        row += 1
+        g = 0
+    # Complete, or the cosets reached from base are closed and it is not.
+    return (0 if row == len(new) else None), (_OPEN, 0, new, old, row, 0)
 
 
 def _search(kind: GroupKind, n: int) -> tuple[int, int, int]:

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
@@ -20,6 +20,8 @@ from covercount.oracle import (
     _compare,
     _coset_search,
     _presentation,
+    _resume,
+    _start,
     kernel_backend,
     oracle_count_classes,
     oracle_count_subgroups,
@@ -134,6 +136,70 @@ def test_compare_reads_only_defined_entries():
     assert _compare([[0, -1, -1], [1, -1, -1]], 3, 1) is None
     # Z/2 = F1 / <a^2>: both bases fix the subgroup, [N(H):H] = 2.
     assert [_compare([[1, 0]], 2, base) for base in range(2)] == [0, 0]
+
+
+def standard_tables(gens, n):
+    """Every complete standard table of gens permutations of n points."""
+    tables = set()
+    for perms in product(permutations(range(n)), repeat=gens):
+        new = {0: 0}
+        old = [0]
+        for source in old:
+            for perm in perms:
+                if perm[source] not in new:
+                    new[perm[source]] = len(old)
+                    old.append(perm[source])
+        if len(old) == n:
+            tables.add(tuple(tuple(new[perm[old[i]]] for i in range(n)) for perm in perms))
+    return sorted(tables)
+
+
+def resume(fwd, state):
+    # Resume a saved comparison as the search does, on copies of its lists.
+    _, _, new, old, row, g = state
+    return _resume(fwd, new[:], old[:], row, g)
+
+
+@pytest.mark.parametrize("gens, n", [(1, 5), (2, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("order", ["reading", "reversed"])
+def test_resuming_a_comparison_equals_scanning_afresh(gens, n, order):
+    # Reveal a standard table's entries one at a time: in the search's
+    # reading order (coset, then generator), and in the reverse order, where
+    # a row is read before the rows that lead to it.  After each reveal every
+    # base still undecided resumes its saved state, or keeps it unread while
+    # its blocking cell is undefined, as the search does.  The answer and the
+    # state must be those of a scan from scratch, and the saved state must
+    # come back unchanged.
+    slots = [(row, g) for row in range(n) for g in range(gens)]
+    if order == "reversed":
+        slots.reverse()
+    for table in standard_tables(gens, n):
+        fwd = [[-1] * n for _ in range(gens)]
+        states = {base: _start(n, base) for base in range(n)}
+        decided = {}
+        for row, g in slots:
+            fwd[g][row] = table[g][row]
+            for base, state in list(states.items()):
+                fresh = resume(fwd, _start(n, base))
+                assert fresh[0] == _compare(fwd, n, base)
+                block, cell, new, old, _, _ = state
+                if block[cell] < 0:
+                    assert fresh[0] is None, (table, base)
+                    continue
+                saved = (new[:], old[:])
+                resumed = resume(fwd, state)
+                assert (new, old) == saved, (table, base)
+                assert resumed == fresh, (table, base)
+                if resumed[0] in (-1, 1):
+                    decided[base] = resumed[0]
+                    del states[base]
+                else:
+                    states[base] = resumed[1]
+            # A -1 or 1 read off defined entries holds for every completion.
+            for base, sign in decided.items():
+                assert _compare(fwd, n, base) == sign, (table, base)
+        assert [_compare(fwd, n, base) for base in states] == [0] * len(states)
+        assert 0 in states
 
 
 def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
