@@ -104,13 +104,27 @@ MUTANTS = {
     ),
     "leaf bad table": (
         "src/covercount/oracle.py",
-        "raise ConsistencyError(f\"coset search produced a bad table {images}\")",
+        "raise ConsistencyError(f\"coset search produced a bad table {tuple(map(tuple, fwd))}\")",
         "pass",
+        "tests/test_oracle.py::test_coset_search_rechecks_its_results",
+    ),
+    # An intransitive table counts base 0 as fixing H.
+    "leaf intransitive table": (
+        "src/covercount/oracle.py",
+        "if size < n:",
+        "if False:",
         "tests/test_oracle.py::test_coset_search_rechecks_its_results",
     ),
     "leaf least table": (
         "src/covercount/oracle.py",
-        "if orders[0] != 0 or -1 in orders or None in orders:",
+        "if renamed < column[row]:",
+        "if False:",
+        "tests/test_oracle.py::test_coset_search_rechecks_its_results",
+    ),
+    # The search's live list is no longer held to the leaf's scan.
+    "leaf live count": (
+        "src/covercount/oracle.py",
+        "if fixed != 1 + len(live):",
         "if False:",
         "tests/test_oracle.py::test_coset_search_rechecks_its_results",
     ),

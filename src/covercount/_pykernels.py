@@ -1,12 +1,14 @@
 """Pure-Python enumeration kernels for the brute-force oracle.
 
-satisfies_relation, _is_transitive and stabilizer_orientable re-check each
-leaf of the oracle's coset-table search.  The tuple counters walk every
-tuple of generator images in the symmetric group and are the small-n
-reference the search is tested against.  They stay in the package only
-because perfbench/tracer.py wraps them by name, until ROADMAP item 1 moves
-the benchmark onto the coset search.  Permutations are tuples mapping
-point -> image, composed left factor first.
+satisfies_relation and stabilizer_orientable re-check each leaf of the
+oracle's coset-table search, reading its columns as they stand; the leaf's
+scan of every base finds an intransitive table, so it needs no
+_is_transitive.  The tuple counters walk every tuple of generator images in
+the symmetric group and are the small-n reference the search is tested
+against.  They stay in the package only because perfbench/tracer.py wraps
+them by name, until ROADMAP item 1 moves the benchmark onto the coset
+search.  Permutations are sequences mapping point -> image (tuples in the
+counters, the search's column lists at a leaf), composed left factor first.
 
 Relation codes: REL_FREE (no defining relation), REL_COMMUTATOR (the
 product of commutators [a1,b1]...[ag,bg] over consecutive generator pairs),

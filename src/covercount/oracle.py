@@ -33,11 +33,12 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  In process a node costs about 4.9 us on free:2 n=7, 5.2 us on
-# orient:2 n=4 and 5.8 us on nonorient:3 n=6 (CPython 3.11 on a 2-CPU x86-64
-# host, CPU time at perfbench's probe reference speed), and verify stops at
-# the limit after 9-14 s on a busy host: it admits free:2 n=9 (1.76M nodes)
-# and orient:2 n=5 (0.62M), not free:3 n=6 (3.3M) or orient:3 n=4 (19M).
+# visit.  In process a node costs about 2.6 us on free:3 n=5, 3.5 us on
+# free:2 n=7, 4.6 us on orient:2 n=4 and 5.3 us on nonorient:3 n=6 (CPython
+# 3.11 on a 2-CPU x86-64 host, CPU time at perfbench's probe reference
+# speed), and verify stops at the limit after 4.5-7.6 s on a busy host: it
+# admits free:2 n=9 (1.76M nodes) and orient:2 n=5 (0.62M), not free:3 n=6
+# (3.3M) or orient:3 n=4 (19M).
 NODE_LIMIT = 2_000_000
 
 
@@ -117,8 +118,13 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     holds n / [N(H):H] subgroups: that adds to M, one to N, and to M+ when
     the stabiliser is orientable (squares relation only; orientability is
     shared by conjugates, since the orientation character's kernel is
-    normal).  Every leaf is re-checked with the tuple kernels' relation and
-    transitivity tests and against every base.
+    normal).  Every leaf is re-checked: the relation with the tuple kernels'
+    test, and every base compared afresh in one pass over the complete table
+    (_fixed_bases), which also finds a table that is not transitive.  The
+    bases it finds equal must number a divisor of n, and one more than the
+    live list handed to the leaf, base 0 being the one: each live base has
+    resumed to 0 there and each dropped one compared 1, so the scan checks
+    the search's pruning at every leaf.
 
     Each entry to descend is one node.  The search raises ResourceLimitError
     once it has visited more than NODE_LIMIT nodes, read when it starts; the
@@ -210,25 +216,22 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             inverse[y] = -1
         del trail[mark:]
 
-    def leaf():
-        images = tuple(tuple(column) for column in fwd)
-        if not _pykernels.satisfies_relation(rel, images, n) or not _pykernels._is_transitive(
-            images, n
-        ):
-            raise ConsistencyError(f"coset search produced a bad table {images}")
-        orders = [_compare(fwd, n, base) for base in range(n)]
-        if orders[0] != 0 or -1 in orders or None in orders:
-            raise ConsistencyError(
-                f"coset search reached a table that is not the least standard table {images}"
-            )
-        # The bases whose stabiliser is H itself: [N(H):H] of them.
-        fixed = orders.count(0)
+    def leaf(live):
+        if not _pykernels.satisfies_relation(rel, fwd, n):
+            raise ConsistencyError(f"coset search produced a bad table {tuple(map(tuple, fwd))}")
+        fixed = _fixed_bases(fwd, n)
         conjugates, rest = divmod(n, fixed)
         if rest:
             raise ConsistencyError(f"coset search found [N(H):H] = {fixed} does not divide {n}")
+        # Every live base has resumed to 0 here, base 0 never joins the
+        # list, and every base the search dropped compared 1.
+        if fixed != 1 + len(live):
+            raise ConsistencyError(
+                f"coset search kept {len(live)} live bases at a table with [N(H):H] = {fixed}"
+            )
         totals[0] += conjugates
         totals[1] += 1
-        if rel == _pykernels.REL_SQUARES and _pykernels.stabilizer_orientable(images, n):
+        if rel == _pykernels.REL_SQUARES and _pykernels.stabilizer_orientable(fwd, n):
             totals[2] += conjugates
 
     def descend(x, g, count, live):
@@ -244,7 +247,7 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
                 # Cosets 0..count-1 are closed under every generator: a
                 # complete table when count == n, intransitive otherwise.
                 if count == n:
-                    leaf()
+                    leaf(live)
                 return
             if fwd[g][x] < 0:
                 break
@@ -293,6 +296,55 @@ def _compare(fwd: list[list[int]], n: int, base: int) -> int | None:
     new = [-1] * n
     new[base] = 0
     return _resume(fwd, new, [base], 0, 0)[0]
+
+
+def _fixed_bases(fwd: list[list[int]], n: int) -> int:
+    """[N(H):H] of the complete table fwd: the bases whose re-standardisation
+    equals it, each compared from scratch as _compare does.
+
+    Raises ConsistencyError when fwd is intransitive (the cosets reached
+    from base 0 close up before n) or when any base's re-standardisation is
+    smaller (fwd is not the least of its class).  Base 0's is never larger
+    than fwd, so on a transitive table it is not equal to fwd exactly when
+    fwd is not standard, and then it is smaller.
+    """
+    fixed = 0
+    for base in range(n):
+        new = [-1] * n
+        new[base] = 0
+        old = [base]
+        size = 1
+        row = 0
+        while row < size:
+            source = old[row]
+            for column in fwd:
+                y = column[source]
+                renamed = new[y]
+                if renamed < 0:
+                    renamed = new[y] = size
+                    old.append(y)
+                    size += 1
+                if renamed != column[row]:
+                    break
+            else:
+                row += 1
+                continue
+            # The first slot where the two differ.
+            if renamed < column[row]:
+                raise ConsistencyError(
+                    "coset search reached a table that is not the least standard table "
+                    f"{tuple(map(tuple, fwd))}"
+                )
+            break
+        else:
+            # Equal on every row reached from base.
+            if size < n:
+                raise ConsistencyError(
+                    f"coset search produced a bad table {tuple(map(tuple, fwd))}: "
+                    f"the cosets reached from 0 close up at {size}"
+                )
+            fixed += 1
+    return fixed
 
 
 # A cell never undefined: the block of a comparison that no undefined entry

@@ -19,6 +19,7 @@ from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
     _compare,
     _coset_search,
+    _fixed_bases,
     _presentation,
     _resume,
     _start,
@@ -207,38 +208,92 @@ def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
         patch.setattr(_pykernels, "satisfies_relation", lambda rel, images, n: False)
         with pytest.raises(ConsistencyError, match="bad table"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
-    real = oracle._compare
-    # A leaf that differs from its own re-standardisation from base 0; the
-    # search never compares against base 0, so only the leaf sees this.
+    # The leaf's scan of every base, on complete tables the search never
+    # reaches.  a = b = (1 2): the cosets reached from 0 close up at 1.
+    with pytest.raises(ConsistencyError, match="bad table .* close up at 1"):
+        _fixed_bases([[0, 2, 1], [0, 2, 1]], 3)
+    # A least table relabelled, so that it is not standard: base 0's
+    # re-standardisation, the least table itself, is smaller.
+    with pytest.raises(ConsistencyError, match="not the least standard table"):
+        _fixed_bases([[2, 0, 1], [0, 2, 1]], 3)
+    # A standard table undercut from base 2, a = (0 1), b = (0 1 2): the
+    # leaf a search would reach had it dropped base 2 as larger too early.
+    with pytest.raises(ConsistencyError, match="not the least standard table"):
+        _fixed_bases([[1, 0, 2], [1, 2, 0]], 3)
+
+    real = oracle._fixed_bases
+    # One base too many counted as fixing H: [N(H):H] = 2 or 4 at n = 3.
     with monkeypatch.context() as patch:
-        patch.setattr(
-            oracle, "_compare", lambda fwd, n, base: 1 if base == 0 else real(fwd, n, base)
-        )
-        with pytest.raises(ConsistencyError, match="not the least standard table"):
+        patch.setattr(oracle, "_fixed_bases", lambda fwd, n: real(fwd, n) + 1)
+        with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = [24] does not divide 3"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
 
-    # A complete table undercut from base 2: the search dropped base 2 from
-    # the live list while the least table a = (1 2), b = (0 1 2) was partial,
-    # so only the leaf re-check compares it again.
-    def undercut_at_leaf(fwd, n, base):
-        if base == 2 and all(entry >= 0 for column in fwd for entry in column):
-            return -1
-        return real(fwd, n, base)
+    resume = oracle._resume
+
+    # The live list one base short: a base whose comparison ends equal
+    # drops out as if larger.  At n = 2 every subgroup is normal.
+    def drops_equal_bases(fwd, new, old, row, g):
+        order, state = resume(fwd, new, old, row, g)
+        return (1, None) if order == 0 else (order, state)
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_compare", undercut_at_leaf)
-        with pytest.raises(ConsistencyError, match="not the least standard table"):
+        patch.setattr(oracle, "_resume", drops_equal_bases)
+        with pytest.raises(ConsistencyError, match=r"kept 0 live bases .* = 2$"):
+            _coset_search(_pykernels.REL_FREE, 2, 2)
+
+    # The live list one base long: base 1 never drops out, its comparison
+    # staying at the slot where it is larger.
+    def keeps_base_one(fwd, new, old, row, g):
+        saved = new[:], old[:]
+        order, state = resume(fwd, new, old, row, g)
+        if order == 1 and old[0] == 1:
+            return None, (oracle._OPEN, 0, *saved, row, g)
+        return order, state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_resume", keeps_base_one)
+        with pytest.raises(ConsistencyError, match=r"kept 1 live bases .* = 1$"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
-
-    # Base 1 counted as fixing a non-normal subgroup: [N(H):H] = 2 at n = 3.
-    def fixes_base_one(fwd, n, base):
-        order = real(fwd, n, base)
-        return 0 if base == 1 and order == 1 else order
-
-    monkeypatch.setattr(oracle, "_compare", fixes_base_one)
-    with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = 2 does not divide 3"):
-        _coset_search(_pykernels.REL_FREE, 2, 3)
     assert _coset_search.cache_info().currsize == 0
+
+
+def leaf_verdict(fwd, n, seen):
+    """What the leaf's scan should make of a complete table, from n scans by
+    _compare: the error it raises, or [N(H):H].  Adds the orders to seen."""
+    orders = [_compare(fwd, n, base) for base in range(n)]
+    seen.update(orders)
+    # Base 0's re-standardisation is never larger than the table.
+    assert orders[0] != 1, fwd
+    if orders[0] is None:
+        return "bad table"
+    if -1 in orders:
+        return "not the least standard table"
+    # Base 0 reached every coset, so every base does.
+    assert None not in orders, fwd
+    return orders.count(0)
+
+
+def test_fixed_bases_agrees_with_compare():
+    # Every complete standard table, and at gens = 2, n <= 3 every complete
+    # table: standard, relabelled and intransitive.
+    tables = [
+        (n, table)
+        for gens, n in [(1, 5), (2, 3), (2, 4), (3, 3)]
+        for table in standard_tables(gens, n)
+    ]
+    tables += [
+        (n, perms) for n in (1, 2, 3) for perms in product(permutations(range(n)), repeat=2)
+    ]
+    seen = set()
+    for n, table in tables:
+        fwd = [list(column) for column in table]
+        expected = leaf_verdict(fwd, n, seen)
+        if isinstance(expected, str):
+            with pytest.raises(ConsistencyError, match=expected):
+                _fixed_bases(fwd, n)
+        else:
+            assert _fixed_bases(fwd, n) == expected, fwd
+    assert seen == {-1, 0, 1, None}
 
 
 def test_oracle_split_at_index_one():
