@@ -19,15 +19,16 @@ Every timed run sets PYTHONDONTWRITEBYTECODE=1.  The cases, in CASES:
   table      census_table(Free(r), m) at (400, 2), cold, so both the
              recursion and the class counts of every row run;
   oracle     the coset search, _coset_search, cold, for free:2, orient:2
-             and nonorient:3 at every n up to (5, 4, 5), the 14 searches
-             of perfbench's oracle-verify workload.
+             and nonorient:3 at n = (5, 4, 5), the 3 searches of
+             perfbench's oracle-verify workload, each giving the rows of
+             every index up to its n.
 
 Each child prints one JSON line: when its timed job started on the
 time.perf_counter() clock (the same clock in every process), how long the
 job took, its peak RSS (ru_maxrss) and a sha256 of repr(values): the beta
 values, the list M(1), ..., M(m), the table's column N(1), ..., N(m), the
-searches' (M, N, M+) triples, or the sorted modules the import loaded
-beyond those of a bare interpreter.
+searches' (M, N, M+) triples, one per index, or the sorted modules the
+import loaded beyond those of a bare interpreter.
 Every run of a case must give the same digest, so a change that alters a
 value cannot pass as a speed-up.  In each repeat every case runs once, in
 turn, so slow drift hits all cases alike.
@@ -100,9 +101,9 @@ ORACLE = """
 from covercount.census import Free, NonOrientableSurface, OrientableSurface
 from covercount.oracle import _coset_search, _presentation
 kinds = (Free(2), OrientableSurface(2), NonOrientableSurface(3))
-searches = [(kind, n) for kind, top in zip(kinds, sys.argv[1:]) for n in range(1, int(top) + 1)]
+tops = [int(top) for top in sys.argv[1:]]
 start = time.perf_counter()
-values = [_coset_search(*_presentation(kind), n) for kind, n in searches]
+values = [row for kind, top in zip(kinds, tops) for row in _coset_search(*_presentation(kind), top)]
 seconds = time.perf_counter() - start
 """
 REPORT = """

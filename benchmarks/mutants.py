@@ -104,7 +104,7 @@ MUTANTS = {
     ),
     "leaf bad table": (
         "src/covercount/oracle.py",
-        "raise ConsistencyError(f\"coset search produced a bad table {tuple(map(tuple, fwd))}\")",
+        "raise ConsistencyError(f\"coset search produced a bad table {tuple(map(tuple, table))}\")",
         "pass",
         "tests/test_oracle.py::test_coset_search_rechecks_its_results",
     ),
@@ -166,11 +166,19 @@ MUTANTS = {
         "_resume(fwd, new, old, row, at)",
         "tests/test_acceptance.py::test_criterion_1_free_rank_two_subgroup_counts",
     ),
-    # Known survivor: the search's final guard cannot fire, since each leaf
-    # adds 1 to N and a divisor of n, between 1 and n, to M.
-    "search N <= M <= n N": (
+    # Only the leaves of index n are counted and checked: the rows below n
+    # read 0, and their tables go unchecked.
+    "leaf of index n only": (
         "src/covercount/oracle.py",
-        "if not classes <= subgroups <= n * classes:",
+        "                leaf(live, count)\n",
+        "                if count == n:\n                    leaf(live, count)\n",
+        "tests/test_oracle.py::test_coset_search_checks_the_leaves_below_its_index",
+    ),
+    # Known survivor: the search's final guard cannot fire, since each leaf
+    # of index m adds 1 to its N and a divisor of m, between 1 and m, to M.
+    "search N <= M <= m N": (
+        "src/covercount/oracle.py",
+        "if not classes <= subgroups <= m * classes:",
         "if False:",
         None,
     ),

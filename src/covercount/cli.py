@@ -89,18 +89,17 @@ def cmd_verify(args) -> int:
 
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
-    # The largest search first: it is cached for the loop below, and one
-    # over the node limit is refused before any line is printed.
-    oracle.oracle_count_subgroups(kind, n_max)
     failures = 0
-    # The formula side is the rows that table prints, from one pass.
-    for row in census_table(kind, n_max):
+    # The oracle's rows, all from one search at n_max, come first: one over
+    # the node limit is refused before any line is printed.  The formula
+    # side is the rows that table prints, from one pass.
+    for oracle_row, row in zip(oracle._rows(kind, n_max), census_table(kind, n_max), strict=True):
         n = row.n
-        checks = [("M", row.subgroups, oracle.oracle_count_subgroups(kind, n))]
+        checks = [("M", row.subgroups, oracle_row.subgroups)]
         if row.orientable_subgroups is not None:
-            split = row.orientable_subgroups, row.nonorientable_subgroups
-            checks += zip(("M+", "M-"), split, oracle.oracle_orientable_split(kind, n))
-        checks.append(("N", row.conjugacy_classes, oracle.oracle_count_classes(kind, n)))
+            checks.append(("M+", row.orientable_subgroups, oracle_row.orientable_subgroups))
+            checks.append(("M-", row.nonorientable_subgroups, oracle_row.nonorientable_subgroups))
+        checks.append(("N", row.conjugacy_classes, oracle_row.conjugacy_classes))
         fields = []
         ok = True
         for label, formula, brute in checks:

@@ -14,8 +14,8 @@ stands for n / [N(H):H] conjugate subgroups, [N(H):H] being the number of
 base points whose re-standardisation equals the table, so M is the sum of
 n / [N(H):H] over the leaves; for the squares relation a parity check on
 each leaf's stabiliser divides M into orientable and non-orientable
-subgroups.  One search per (relation, generators, index) serves all three
-counters; _presentation gives each family's relation and generator count.
+subgroups.  The search at index n gives the rows (_rows) of every index up
+to n; _presentation gives each family's relation and generator count.
 
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  A search that visits more than NODE_LIMIT
@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from . import _pykernels
 from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
+from .classes import CensusRow
 from .errors import ConsistencyError, ResourceLimitError, check_index
 
 _kernels = _pykernels
@@ -80,8 +81,8 @@ def _relator(rel: int, gens: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
-    """(M, N, M+) at index n by a search over standard coset tables.
+def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(M, N, M+) at every index 1..n, from one search over coset tables.
 
     A coset table lists, for every coset x and generator g, the coset x.g.
     The table is standard when cosets are numbered in the order they first
@@ -90,7 +91,9 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     cosets whose columns are permutations satisfying the relator, the
     subgroup being the stabiliser of coset 0.  The search fills entries in
     that reading order, giving each one an existing coset not yet in its
-    column's image or else the next unused coset.
+    column's image or else the next unused coset.  A node whose first m
+    cosets close up under every generator is a leaf of index m: the index-m
+    search is this one cut to the nodes that open at most m cosets.
 
     After each entry is defined, the relator is traced through the new
     edge for every place its generator occurs in the relator.  A trace of
@@ -105,26 +108,26 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     b's stabiliser, so the tables of one conjugacy class are the
     re-standardisations of any one of them.  The search keeps only tables
     that can still be the least of theirs.  Each live base holds the state
-    of its comparison with that re-standardisation (_compare): renumbering,
+    of its comparison with that re-standardisation (_resume): renumbering,
     slot reached, and the undefined entry that stopped it.  After each
     define a base still stopped by that entry is kept unread; any other
-    resumes from its slot on copies (_resume), so siblings see the parent's
+    resumes from its slot on copies, so siblings see the parent's
     states, and the branch is pruned when one is already smaller.  A coset
     the define opens is a new base, compared after the live ones.  A base
     whose re-standardisation is already larger stays larger in every
     completion and leaves the live list handed down.  So the search reaches
-    exactly one leaf per conjugacy class.  At a leaf the bases whose
-    re-standardisation equals the table number [N(H):H], and the class
-    holds n / [N(H):H] subgroups: that adds to M, one to N, and to M+ when
-    the stabiliser is orientable (squares relation only; orientability is
-    shared by conjugates, since the orientation character's kernel is
-    normal).  Every leaf is re-checked: the relation with the tuple kernels'
-    test, and every base compared afresh in one pass over the complete table
-    (_fixed_bases), which also finds a table that is not transitive.  The
-    bases it finds equal must number a divisor of n, and one more than the
-    live list handed to the leaf, base 0 being the one: each live base has
-    resumed to 0 there and each dropped one compared 1, so the scan checks
-    the search's pruning at every leaf.
+    exactly one leaf per conjugacy class.  At a leaf of index m the bases
+    whose re-standardisation equals the table number [N(H):H], and the class
+    holds m / [N(H):H] subgroups: that adds to index m's M, one to its N,
+    and to its M+ when the stabiliser is orientable (squares relation only;
+    orientability is shared by conjugates, since the orientation character's
+    kernel is normal).  Every leaf is re-checked: the relation with the
+    tuple kernels' test, and every base compared afresh in one pass over the
+    table cut to m cosets (_fixed_bases), which also finds a table that is
+    not transitive.  The bases it finds equal must number a divisor of m,
+    and one more than the live list handed to the leaf, base 0 being the
+    one: each live base has resumed to the end there and each dropped one
+    compared 1, so the scan checks the search's pruning at every leaf.
 
     Each entry to descend is one node.  The search raises ResourceLimitError
     once it has visited more than NODE_LIMIT nodes, read when it starts; the
@@ -159,7 +162,7 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
     # column, y): undo resets its two cells, and define reads it as the
     # queue of edges still to trace.
     trail = []
-    totals = [0, 0, 0]
+    totals = [[0, 0, 0] for _ in range(n)]
 
     def define(x, g, y):
         # Set x.g = y, both ends free, and follow the relator through every
@@ -216,23 +219,25 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
             inverse[y] = -1
         del trail[mark:]
 
-    def leaf(live):
-        if not _pykernels.satisfies_relation(rel, fwd, n):
-            raise ConsistencyError(f"coset search produced a bad table {tuple(map(tuple, fwd))}")
-        fixed = _fixed_bases(fwd, n)
-        conjugates, rest = divmod(n, fixed)
+    def leaf(live, m):
+        table = fwd if m == n else [column[:m] for column in fwd]
+        if not _pykernels.satisfies_relation(rel, table, m):
+            raise ConsistencyError(f"coset search produced a bad table {tuple(map(tuple, table))}")
+        fixed = _fixed_bases(table, m)
+        conjugates, rest = divmod(m, fixed)
         if rest:
-            raise ConsistencyError(f"coset search found [N(H):H] = {fixed} does not divide {n}")
-        # Every live base has resumed to 0 here, base 0 never joins the
-        # list, and every base the search dropped compared 1.
+            raise ConsistencyError(f"coset search found [N(H):H] = {fixed} does not divide {m}")
+        # Every live base has resumed to the end here, base 0 never joins
+        # the list, and every base the search dropped compared 1.
         if fixed != 1 + len(live):
             raise ConsistencyError(
                 f"coset search kept {len(live)} live bases at a table with [N(H):H] = {fixed}"
             )
-        totals[0] += conjugates
-        totals[1] += 1
-        if rel == _pykernels.REL_SQUARES and _pykernels.stabilizer_orientable(fwd, n):
-            totals[2] += conjugates
+        row = totals[m - 1]
+        row[0] += conjugates
+        row[1] += 1
+        if rel == _pykernels.REL_SQUARES and _pykernels.stabilizer_orientable(table, m):
+            row[2] += conjugates
 
     def descend(x, g, count, live):
         nonlocal nodes
@@ -245,9 +250,8 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
                 g = 0
             if x == count:
                 # Cosets 0..count-1 are closed under every generator: a
-                # complete table when count == n, intransitive otherwise.
-                if count == n:
-                    leaf(live)
+                # complete table of index count.
+                leaf(live, count)
                 return
             if fwd[g][x] < 0:
                 break
@@ -276,31 +280,15 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[int, int, int]:
                 undo(mark)
 
     descend(0, 0, 1, [])
-    subgroups, classes, orientable = totals
-    if not classes <= subgroups <= n * classes:
-        raise ConsistencyError(f"coset search gave M={subgroups}, N={classes} at index {n}")
-    return subgroups, classes, orientable
-
-
-def _compare(fwd: list[list[int]], n: int, base: int) -> int | None:
-    """How the table fwd compares with its re-standardisation from base.
-
-    Renumbering cosets by first appearance from base, reading entries by
-    coset then generator, gives the standard table of base's stabiliser.
-    Compared with fwd slot by slot in that order: -1 or 1 at the first
-    slot where both are defined and differ (-1 when the re-standardisation
-    is smaller), None when an undefined entry comes first, 0 when the
-    complete tables are equal.  A partial table's -1 or 1 holds for every
-    completion of it, since only defined entries were read.
-    """
-    new = [-1] * n
-    new[base] = 0
-    return _resume(fwd, new, [base], 0, 0)[0]
+    for m, (subgroups, classes, _) in enumerate(totals, 1):
+        if not classes <= subgroups <= m * classes:
+            raise ConsistencyError(f"coset search gave M={subgroups}, N={classes} at index {m}")
+    return tuple(map(tuple, totals))
 
 
 def _fixed_bases(fwd: list[list[int]], n: int) -> int:
     """[N(H):H] of the complete table fwd: the bases whose re-standardisation
-    equals it, each compared from scratch as _compare does.
+    equals it, each compared from scratch in _resume's order.
 
     Raises ConsistencyError when fwd is intransitive (the cosets reached
     from base 0 close up before n) or when any base's re-standardisation is
@@ -360,10 +348,17 @@ def _start(n: int, base: int) -> tuple:
 
 
 def _resume(fwd: list[list[int]], new: list[int], old: list[int], row: int, g: int) -> tuple:
-    # Go on with a comparison (_compare) from slot (row, g), extending its
-    # renumbering new and old (new[old[i]] == i) in place: its order, and the
-    # state (column, cell, new, old, row, g) it stops in, column[cell] being
-    # the undefined entry that stopped it.
+    """Compare fwd from slot (row, g) on with its re-standardisation from a
+    base: renumbering cosets by first appearance from it, reading entries by
+    coset then generator, extending the renumbering new and old
+    (new[old[i]] == i) in place.  Returns the order and the state (column,
+    cell, new, old, row, g) it stops in, column[cell] being the undefined
+    entry that stopped it.  The order is -1 or 1 at the first slot where
+    both are defined and differ (-1 when the re-standardisation is smaller),
+    None when an undefined entry comes first or the base's cosets close up
+    short of len(new), 0 when the complete tables are equal.  A -1 or 1
+    holds for every completion of fwd, since only defined entries were read.
+    """
     size = len(old)
     gens = len(fwd)
     while row < size:
@@ -387,24 +382,30 @@ def _resume(fwd: list[list[int]], new: list[int], old: list[int], row: int, g: i
     return (0 if row == len(new) else None), (_OPEN, 0, new, old, row, 0)
 
 
-def _search(kind: GroupKind, n: int) -> tuple[int, int, int]:
-    check_index(n)
+def _rows(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
+    # The oracle's rows for n = 1..n_max, from one search at n_max.
+    check_index(n_max)
     rel, gens = _presentation(kind)
     try:
-        return _coset_search(rel, gens, n)
+        counts = _coset_search(rel, gens, n_max)
     except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{kind} at index {n}: {exc}") from None
+        raise ResourceLimitError(f"{kind} at index {n_max}: {exc}") from None
+    split = isinstance(kind, NonOrientableSurface)
+    return tuple(
+        CensusRow(n, subgroups, classes, *((orientable, subgroups - orientable) if split else ()))
+        for n, (subgroups, classes, orientable) in enumerate(counts, 1)
+    )
 
 
 def oracle_count_subgroups(kind: GroupKind, n: int) -> int:
     """Index-n subgroup count: the leaves of the coset-table search."""
-    return _search(kind, n)[0]
+    return _rows(kind, n)[-1].subgroups
 
 
 def oracle_count_classes(kind: GroupKind, n: int) -> int:
     """Conjugacy classes of index-n subgroups: the coset-table search's
     leaves that are least among their re-standardisations."""
-    return _search(kind, n)[1]
+    return _rows(kind, n)[-1].conjugacy_classes
 
 
 def oracle_orientable_split(kind: NonOrientableSurface, n: int) -> tuple[int, int]:
@@ -412,5 +413,5 @@ def oracle_orientable_split(kind: NonOrientableSurface, n: int) -> tuple[int, in
     non-orientable surface group, by the parity check on point stabilisers."""
     if not isinstance(kind, NonOrientableSurface):
         raise TypeError(f"the orientable split needs a NonOrientableSurface, got {kind!r}")
-    subgroups, _, orientable = _search(kind, n)
-    return orientable, subgroups - orientable
+    row = _rows(kind, n)[-1]
+    return row.orientable_subgroups, row.nonorientable_subgroups

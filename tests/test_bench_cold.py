@@ -45,11 +45,12 @@ def table_values(m, r):
 
 
 def oracle_values(*tops):
+    # The rows of one search per family, each up to its top index.
     kinds = (Free(2), OrientableSurface(2), NonOrientableSurface(3))
     return [
-        _coset_search(*_presentation(kind), n)
+        row
         for kind, top in zip(kinds, tops)
-        for n in range(1, top + 1)
+        for row in _coset_search(*_presentation(kind), top)
     ]
 
 

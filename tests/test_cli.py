@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from covercount import cli, oracle
+from covercount import _pykernels, cli, oracle
 from covercount.census import FiberClass, Free, NonOrientableSurface, OrientableSurface
+from covercount.classes import CensusRow
 from covercount.cli import main, parse_group_spec
 from covercount.errors import ConsistencyError
 
@@ -155,13 +156,18 @@ def test_verify_includes_split_for_nonorientable(capsys):
 
 
 def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
-    real = oracle.oracle_orientable_split
+    # One orientable index-2 subgroup too many in the oracle's rows, which
+    # verify reads.
+    real = oracle._rows
 
-    def wrong(kind, n):
-        plus, minus = real(kind, n)
-        return plus + (1 if n == 2 else 0), minus
+    def wrong(kind, n_max):
+        rows = list(real(kind, n_max))
+        two = rows[1]
+        rows[1] = CensusRow(2, two.subgroups, two.conjugacy_classes,
+                            two.orientable_subgroups + 1, two.nonorientable_subgroups)
+        return tuple(rows)
 
-    monkeypatch.setattr(oracle, "oracle_orientable_split", wrong)
+    monkeypatch.setattr(oracle, "_rows", wrong)
     code, out, _ = run_cli(capsys, "verify", "--group", "nonorient:3", "--max-index", "3")
     assert code == 1
     assert out.strip().split("\n") == [
@@ -190,6 +196,31 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     lines = out.strip().split("\n")
     assert lines[2] == "n=3 FAIL M=16!=13 N=8!=7"
     assert lines[0].startswith("n=1 PASS")
+
+
+def test_verify_makes_one_coset_search_per_group(capsys, monkeypatch):
+    # The three operations of perfbench's oracle-verify workload: each reads
+    # every index from one search at its --max-index.
+    real = oracle._coset_search
+    searches = []
+
+    def spy(rel, gens, n):
+        searches.append((rel, gens, n))
+        return real(rel, gens, n)
+
+    monkeypatch.setattr(oracle, "_coset_search", spy)
+    for group, n_max, presentation in (
+        ("free:2", 5, (_pykernels.REL_FREE, 2)),
+        ("orient:2", 4, (_pykernels.REL_COMMUTATOR, 4)),
+        ("nonorient:3", 5, (_pykernels.REL_SQUARES, 3)),
+    ):
+        searches.clear()
+        code, out, _ = run_cli(capsys, "verify", "--group", group, "--max-index", str(n_max))
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            [f"n={n}", "PASS"] for n in range(1, n_max + 1)
+        ]
+        assert searches == [(*presentation, n_max)], group
 
 
 def test_count_classes_gets_the_row_checks(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from covercount.census import (
 from covercount.classes import census_table, count_classes
 from covercount.errors import ConsistencyError, ResourceLimitError
 from covercount.oracle import (
-    _compare,
     _coset_search,
     _fixed_bases,
     _presentation,
@@ -30,6 +29,7 @@ from covercount.oracle import (
 )
 
 import full_leaf_search
+from compare_reference import compare
 from epi_reference import oracle_epi_count
 
 SMALL_GRID = [
@@ -99,29 +99,42 @@ def test_oracle_matches_every_table_row(kind_and_bound):
             assert split == (None, None), (kind, n)
 
 
+def tuple_brute_force(rel, gens, n):
+    """(M, N, M+) at index n from the tuple kernels, which count each
+    subgroup once per numbering of its other n - 1 cosets."""
+    base = factorial(n - 1)
+    _, transitive = _pykernels.count_relation_tuples(rel, gens, n)
+    subgroups, rest = divmod(transitive, base)
+    assert rest == 0, (rel, gens, n)
+    orbits, classes = _pykernels.count_transitive_orbits(rel, gens, n)
+    assert orbits == transitive, (rel, gens, n)
+    if rel != _pykernels.REL_SQUARES:
+        return subgroups, classes, 0
+    plus, minus = _pykernels.count_orientation_split(gens, n)
+    orientable, rest = divmod(plus, base)
+    assert (rest, minus) == (0, (subgroups - orientable) * base), (rel, gens, n)
+    return subgroups, classes, orientable
+
+
 def test_coset_search_matches_tuple_brute_force():
+    # Every row of the search at each n, against the brute force at the
+    # row's index.
     for kind, n_max in SMALL_GRID:
         rel, gens = _presentation(kind)
+        expected = tuple(tuple_brute_force(rel, gens, m) for m in range(1, n_max + 1))
         for n in range(1, n_max + 1):
             _coset_search.cache_clear()
-            subgroups, classes, orientable = _coset_search(rel, gens, n)
-            base = factorial(n - 1)
-            _, transitive = _pykernels.count_relation_tuples(rel, gens, n)
-            assert divmod(transitive, base) == (subgroups, 0), (kind, n)
-            assert _pykernels.count_transitive_orbits(rel, gens, n) == (transitive, classes), (kind, n)
-            if rel == _pykernels.REL_SQUARES:
-                split = _pykernels.count_orientation_split(gens, n)
-                assert split == (orientable * base, (subgroups - orientable) * base), (kind, n)
-            else:
-                assert orientable == 0, (kind, n)
+            assert _coset_search(rel, gens, n) == expected[:n], (kind, n)
 
 
 def test_coset_search_matches_full_leaf_reference():
+    # Every row of the search at each n, against the reference at the row's
+    # index.
     for kind, n_max in REFERENCE_GRID:
         rel, gens = _presentation(kind)
+        expected = tuple(full_leaf_search.full_leaf_search(rel, gens, m) for m in range(1, n_max + 1))
         for n in range(1, n_max + 1):
-            expected = full_leaf_search.full_leaf_search(rel, gens, n)
-            assert _coset_search(rel, gens, n) == expected, (kind, n)
+            assert _coset_search(rel, gens, n) == expected[:n], (kind, n)
 
 
 def test_compare_reads_only_defined_entries():
@@ -130,13 +143,13 @@ def test_compare_reads_only_defined_entries():
     # is smaller than it, which five defined slots already show.
     least = [[0, 2, 1], [1, 2, 0]]
     other = [[1, 0, 2], [1, 2, 0]]
-    assert [_compare(least, 3, base) for base in range(3)] == [0, 1, 1]
-    assert [_compare(other, 3, base) for base in range(3)] == [0, 1, -1]
-    assert _compare([[1, 0, 2], [1, 2, -1]], 3, 2) == -1
-    assert _compare([[0, 2, -1], [1, -1, -1]], 3, 1) == 1
-    assert _compare([[0, -1, -1], [1, -1, -1]], 3, 1) is None
+    assert [compare(least, 3, base) for base in range(3)] == [0, 1, 1]
+    assert [compare(other, 3, base) for base in range(3)] == [0, 1, -1]
+    assert compare([[1, 0, 2], [1, 2, -1]], 3, 2) == -1
+    assert compare([[0, 2, -1], [1, -1, -1]], 3, 1) == 1
+    assert compare([[0, -1, -1], [1, -1, -1]], 3, 1) is None
     # Z/2 = F1 / <a^2>: both bases fix the subgroup, [N(H):H] = 2.
-    assert [_compare([[1, 0]], 2, base) for base in range(2)] == [0, 0]
+    assert [compare([[1, 0]], 2, base) for base in range(2)] == [0, 0]
 
 
 def standard_tables(gens, n):
@@ -182,7 +195,7 @@ def test_resuming_a_comparison_equals_scanning_afresh(gens, n, order):
             fwd[g][row] = table[g][row]
             for base, state in list(states.items()):
                 fresh = resume(fwd, _start(n, base))
-                assert fresh[0] == _compare(fwd, n, base)
+                assert fresh[0] == compare(fwd, n, base)
                 block, cell, new, old, _, _ = state
                 if block[cell] < 0:
                     assert fresh[0] is None, (table, base)
@@ -198,8 +211,8 @@ def test_resuming_a_comparison_equals_scanning_afresh(gens, n, order):
                     states[base] = resumed[1]
             # A -1 or 1 read off defined entries holds for every completion.
             for base, sign in decided.items():
-                assert _compare(fwd, n, base) == sign, (table, base)
-        assert [_compare(fwd, n, base) for base in states] == [0] * len(states)
+                assert compare(fwd, n, base) == sign, (table, base)
+        assert [compare(fwd, n, base) for base in states] == [0] * len(states)
         assert 0 in states
 
 
@@ -222,10 +235,11 @@ def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
         _fixed_bases([[1, 0, 2], [1, 2, 0]], 3)
 
     real = oracle._fixed_bases
-    # One base too many counted as fixing H: [N(H):H] = 2 or 4 at n = 3.
+    # One base too many counted as fixing H: [N(H):H] = 2 at the first
+    # leaf, the index-1 table.
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_fixed_bases", lambda fwd, n: real(fwd, n) + 1)
-        with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = [24] does not divide 3"):
+        with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = 2 does not divide 1"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
 
     resume = oracle._resume
@@ -257,10 +271,20 @@ def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
     assert _coset_search.cache_info().currsize == 0
 
 
+def test_coset_search_checks_the_leaves_below_its_index(monkeypatch, cold_package):
+    # The leaves of index m < n are checked as the index-n ones are: one
+    # base too many counted as fixing H on those tables alone.
+    real = oracle._fixed_bases
+    monkeypatch.setattr(oracle, "_fixed_bases", lambda fwd, m: real(fwd, m) + (m < 3))
+    with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = 2 does not divide 1"):
+        _coset_search(_pykernels.REL_FREE, 2, 3)
+    assert _coset_search.cache_info().currsize == 0
+
+
 def leaf_verdict(fwd, n, seen):
     """What the leaf's scan should make of a complete table, from n scans by
-    _compare: the error it raises, or [N(H):H].  Adds the orders to seen."""
-    orders = [_compare(fwd, n, base) for base in range(n)]
+    compare: the error it raises, or [N(H):H].  Adds the orders to seen."""
+    orders = [compare(fwd, n, base) for base in range(n)]
     seen.update(orders)
     # Base 0's re-standardisation is never larger than the table.
     assert orders[0] != 1, fwd
