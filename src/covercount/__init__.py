@@ -22,14 +22,7 @@ from .numtheory import divisors, mobius
 __version__ = "0.1.0"
 
 # The oracle is loaded on first use, so count and table never import it.
-_ORACLE_NAMES = frozenset(
-    {
-        "kernel_backend",
-        "oracle_count_classes",
-        "oracle_count_subgroups",
-        "oracle_orientable_split",
-    }
-)
+_ORACLE_NAMES = frozenset({"kernel_backend", "oracle_table"})
 
 
 def __getattr__(name):
@@ -62,8 +55,6 @@ __all__ = [
     "hook_spectrum",
     "kernel_backend",
     "mobius",
-    "oracle_count_classes",
-    "oracle_count_subgroups",
-    "oracle_orientable_split",
+    "oracle_table",
     "r_nu_recursive",
 ]

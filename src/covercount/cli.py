@@ -93,7 +93,8 @@ def cmd_verify(args) -> int:
     # The oracle's rows, all from one search at n_max, come first: one over
     # the node limit is refused before any line is printed.  The formula
     # side is the rows that table prints, from one pass.
-    for oracle_row, row in zip(oracle._rows(kind, n_max), census_table(kind, n_max), strict=True):
+    oracle_rows = oracle.oracle_table(kind, n_max)
+    for oracle_row, row in zip(oracle_rows, census_table(kind, n_max), strict=True):
         n = row.n
         checks = [("M", row.subgroups, oracle_row.subgroups)]
         if row.orientable_subgroups is not None:

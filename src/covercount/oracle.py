@@ -1,9 +1,8 @@
 """Verification oracle by enumeration, independent of the character formulas.
 
 An index-n subgroup is the stabiliser of a base point in a transitive
-action on n points that satisfies the defining relation.  The counters
-oracle_count_subgroups, oracle_count_classes and oracle_orientable_split
-enumerate those actions as standard coset tables (the low-index subgroups
+action on n points that satisfies the defining relation.  oracle_table
+enumerates those actions as standard coset tables (the low-index subgroups
 search, Sims, Computation with Finitely Presented Groups, ch. 5): a
 backtracking search that prunes partial tables whose relator traces fail
 to close, and partial tables that can no longer be the least of their
@@ -14,21 +13,19 @@ stands for n / [N(H):H] conjugate subgroups, [N(H):H] being the number of
 base points whose re-standardisation equals the table, so M is the sum of
 n / [N(H):H] over the leaves; for the squares relation a parity check on
 each leaf's stabiliser divides M into orientable and non-orientable
-subgroups.  The search at index n gives the rows (_rows) of every index up
-to n; _presentation gives each family's relation and generator count.
+subgroups.  The search at index n gives the rows of every index up to n,
+the same CensusRow records as census_table's and held to the same row
+check; _presentation gives each family's relation and generator count.
 
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  A search that visits more than NODE_LIMIT
 nodes stops with ResourceLimitError rather than run for minutes; nothing is
-ever silently truncated.  Finished searches are cached per (relation,
-generators, index), and a refused search leaves no cache entry.
+ever silently truncated.
 """
-
-from functools import lru_cache
 
 from . import _pykernels
 from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
-from .classes import CensusRow
+from .classes import CensusRow, _check_row
 from .errors import ConsistencyError, ResourceLimitError, check_index
 
 _kernels = _pykernels
@@ -80,7 +77,6 @@ def _relator(rel: int, gens: int) -> tuple[int, ...]:
     raise ValueError(f"unknown relation code {rel}")
 
 
-@lru_cache(maxsize=None)
 def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """(M, N, M+) at every index 1..n, from one search over coset tables.
 
@@ -130,8 +126,7 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
     compared 1, so the scan checks the search's pruning at every leaf.
 
     Each entry to descend is one node.  The search raises ResourceLimitError
-    once it has visited more than NODE_LIMIT nodes, read when it starts; the
-    cache keeps no entry for a search that raised.
+    once it has visited more than NODE_LIMIT nodes, read when it starts.
     """
     limit = NODE_LIMIT
     nodes = 0
@@ -280,9 +275,6 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
                 undo(mark)
 
     descend(0, 0, 1, [])
-    for m, (subgroups, classes, _) in enumerate(totals, 1):
-        if not classes <= subgroups <= m * classes:
-            raise ConsistencyError(f"coset search gave M={subgroups}, N={classes} at index {m}")
     return tuple(map(tuple, totals))
 
 
@@ -382,36 +374,21 @@ def _resume(fwd: list[list[int]], new: list[int], old: list[int], row: int, g: i
     return (0 if row == len(new) else None), (_OPEN, 0, new, old, row, 0)
 
 
-def _rows(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
-    # The oracle's rows for n = 1..n_max, from one search at n_max.
-    check_index(n_max)
+def oracle_table(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
+    """The oracle's rows for n = 1..n_max, from one coset-table search at
+    n_max: census_table's rows by an independent route, each checked as
+    census_table checks its own."""
+    check_index(n_max, "n_max")
     rel, gens = _presentation(kind)
     try:
         counts = _coset_search(rel, gens, n_max)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{kind} at index {n_max}: {exc}") from None
     split = isinstance(kind, NonOrientableSurface)
-    return tuple(
-        CensusRow(n, subgroups, classes, *((orientable, subgroups - orientable) if split else ()))
-        for n, (subgroups, classes, orientable) in enumerate(counts, 1)
-    )
-
-
-def oracle_count_subgroups(kind: GroupKind, n: int) -> int:
-    """Index-n subgroup count: the leaves of the coset-table search."""
-    return _rows(kind, n)[-1].subgroups
-
-
-def oracle_count_classes(kind: GroupKind, n: int) -> int:
-    """Conjugacy classes of index-n subgroups: the coset-table search's
-    leaves that are least among their re-standardisations."""
-    return _rows(kind, n)[-1].conjugacy_classes
-
-
-def oracle_orientable_split(kind: NonOrientableSurface, n: int) -> tuple[int, int]:
-    """(orientable, non-orientable) index-n subgroup counts of a
-    non-orientable surface group, by the parity check on point stabilisers."""
-    if not isinstance(kind, NonOrientableSurface):
-        raise TypeError(f"the orientable split needs a NonOrientableSurface, got {kind!r}")
-    row = _rows(kind, n)[-1]
-    return row.orientable_subgroups, row.nonorientable_subgroups
+    rows = []
+    for n, (subgroups, classes, orientable) in enumerate(counts, 1):
+        halves = (orientable, subgroups - orientable) if split else ()
+        row = CensusRow(n, subgroups, classes, *halves)
+        _check_row(row)
+        rows.append(row)
+    return tuple(rows)

@@ -6,7 +6,6 @@ import pytest
 
 # Loaded here so that package_caches sees the caches of every module.
 import covercount.cli
-import covercount.oracle
 from covercount import census
 
 

@@ -20,11 +20,7 @@ from covercount.census import (
 from covercount.characters import beta
 from covercount.classes import census_table, count_classes
 from covercount.numtheory import divisors
-from covercount.oracle import (
-    oracle_count_classes,
-    oracle_count_subgroups,
-    oracle_orientable_split,
-)
+from covercount.oracle import oracle_table
 
 from epi_reference import oracle_epi_count
 from partition_reference import hook_product, partition_count, partitions
@@ -41,8 +37,7 @@ def test_criterion_1_free_rank_two_subgroup_counts():
     start = time.perf_counter()
     expected = [1, 3, 13, 71, 461, 3447]
     assert [count_subgroups(Free(2), n) for n in range(1, 7)] == expected
-    for n in range(1, 7):
-        assert oracle_count_subgroups(Free(2), n) == expected[n - 1]
+    assert [row.subgroups for row in oracle_table(Free(2), 6)] == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 30
     _report(1, f"free:2 M(1..6) = {expected}, oracle confirms n <= 6 ({elapsed:.2f}s)")
@@ -52,8 +47,7 @@ def test_criterion_2_free_rank_two_class_counts():
     start = time.perf_counter()
     expected = [1, 3, 7, 26, 97, 624]
     assert [count_classes(Free(2), n) for n in range(1, 7)] == expected
-    for n in range(1, 7):
-        assert oracle_count_classes(Free(2), n) == expected[n - 1]
+    assert [row.conjugacy_classes for row in oracle_table(Free(2), 6)] == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 120
     _report(2, f"free:2 N(1..6) = {expected}, oracle confirms n <= 6 ({elapsed:.2f}s)")
@@ -69,7 +63,7 @@ def test_criterion_3_torus_counts_are_divisor_sums():
     _report(3, "orient:1 M(n) = N(n) = sigma(n) for n <= 20, closed form and class route")
 
 
-def test_criterion_4_genus_two_surface(monkeypatch, cold_package):
+def test_criterion_4_genus_two_surface(monkeypatch):
     start = time.perf_counter()
     # The least-table pruning keeps the index-5 search to exactly 624,699
     # nodes (the full-leaf reference in the tests visits 1,974,904).  The
@@ -79,11 +73,11 @@ def test_criterion_4_genus_two_surface(monkeypatch, cold_package):
     genus2 = OrientableSurface(2)
     assert count_subgroups(genus2, 2) == 15
     assert count_classes(genus2, 2) == 15
-    for n in (2, 3, 4, 5):
-        assert oracle_count_subgroups(genus2, n) == count_subgroups(genus2, n)
-        assert oracle_count_classes(genus2, n) == count_classes(genus2, n)
-    assert oracle_count_subgroups(genus2, 5) == 151086
-    assert oracle_count_classes(genus2, 5) == 30342
+    rows = oracle_table(genus2, 5)
+    for row in rows[1:]:
+        assert row.subgroups == count_subgroups(genus2, row.n)
+        assert row.conjugacy_classes == count_classes(genus2, row.n)
+    assert (rows[-1].subgroups, rows[-1].conjugacy_classes) == (151086, 30342)
     for n in range(1, 11):
         assert count_classes(genus2, n) == _inline_count_classes(genus2, n)
     elapsed = time.perf_counter() - start
@@ -100,10 +94,11 @@ def test_criterion_5_nonorientable_surfaces():
         assert count_classes(kind, 2) == expected[3]
         for n in range(1, 9):
             assert count_classes(kind, n) == _inline_count_classes(kind, n)
-        for n in range(1, oracle_max + 1):
-            assert oracle_count_subgroups(kind, n) == count_subgroups(kind, n)
-            assert oracle_count_classes(kind, n) == count_classes(kind, n)
-            assert oracle_orientable_split(kind, n) == kind.split(n)
+        for row in oracle_table(kind, oracle_max):
+            n = row.n
+            assert row.subgroups == count_subgroups(kind, n)
+            assert row.conjugacy_classes == count_classes(kind, n)
+            assert (row.orientable_subgroups, row.nonorientable_subgroups) == kind.split(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 120
     _report(
@@ -177,13 +172,14 @@ def test_criterion_9_character_degrees():
     _report(9, "degree squares sum to k! for k <= 12, beta(k, 0) counts partitions for k <= 20")
 
 
-def test_criterion_10_free_rank_two_oracle_at_index_eight(monkeypatch, cold_package):
+def test_criterion_10_free_rank_two_oracle_at_index_eight(monkeypatch):
     start = time.perf_counter()
     # Within 250,000 nodes (it visits 198,904; the full-leaf reference in the
     # tests, 1,122,878).
     monkeypatch.setattr(oracle, "NODE_LIMIT", 250_000)
-    assert oracle_count_subgroups(Free(2), 8) == count_subgroups(Free(2), 8) == 273343
-    assert oracle_count_classes(Free(2), 8) == count_classes(Free(2), 8) == 34470
+    row = oracle_table(Free(2), 8)[-1]
+    assert row.subgroups == count_subgroups(Free(2), 8) == 273343
+    assert row.conjugacy_classes == count_classes(Free(2), 8) == 34470
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     _report(10, f"free:2 M(8) = 273343 and N(8) = 34470, confirmed by the oracle ({elapsed:.2f}s)")

@@ -158,7 +158,7 @@ def test_verify_includes_split_for_nonorientable(capsys):
 def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
     # One orientable index-2 subgroup too many in the oracle's rows, which
     # verify reads.
-    real = oracle._rows
+    real = oracle.oracle_table
 
     def wrong(kind, n_max):
         rows = list(real(kind, n_max))
@@ -167,7 +167,7 @@ def test_verify_reports_a_split_mismatch(capsys, monkeypatch):
                             two.orientable_subgroups + 1, two.nonorientable_subgroups)
         return tuple(rows)
 
-    monkeypatch.setattr(oracle, "_rows", wrong)
+    monkeypatch.setattr(oracle, "oracle_table", wrong)
     code, out, _ = run_cli(capsys, "verify", "--group", "nonorient:3", "--max-index", "3")
     assert code == 1
     assert out.strip().split("\n") == [
@@ -322,7 +322,7 @@ def test_unexpected_exceptions_have_their_own_status(
     assert sys.get_int_max_str_digits() == 5000
 
 
-def test_verify_infeasible_request(capsys, monkeypatch, cold_package):
+def test_verify_infeasible_request(capsys, monkeypatch):
     # A small node limit: under the real one free:2 n=50 would search for
     # seconds before it is refused.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 400)
@@ -333,7 +333,7 @@ def test_verify_infeasible_request(capsys, monkeypatch, cold_package):
     assert "exceeds the limit of 400 nodes" in err
 
 
-def test_verify_refuses_before_printing_any_index(capsys, monkeypatch, cold_package):
+def test_verify_refuses_before_printing_any_index(capsys, monkeypatch):
     # free:2 searches 167 nodes at index 4 and 710 at index 5, so only the
     # last index is over the limit; no line for indices 1 to 4 is printed.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 167)

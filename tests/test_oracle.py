@@ -2,8 +2,6 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from covercount import _pykernels, oracle
 from covercount.abelian import HomologySignature, epi_count
@@ -23,9 +21,7 @@ from covercount.oracle import (
     _resume,
     _start,
     kernel_backend,
-    oracle_count_classes,
-    oracle_count_subgroups,
-    oracle_orientable_split,
+    oracle_table,
 )
 
 import full_leaf_search
@@ -56,47 +52,42 @@ def test_kernel_backend_reports_a_known_name():
     assert oracle._kernels is _pykernels
 
 
-def test_oracle_subgroup_counts_match_formulas():
-    for kind, n_max in SMALL_GRID:
-        for n in range(1, n_max + 1):
-            assert oracle_count_subgroups(kind, n) == count_subgroups(kind, n), (kind, n)
+def split(row):
+    return row.orientable_subgroups, row.nonorientable_subgroups
 
 
-def test_oracle_class_counts_match_formulas():
-    for kind, n_max in SMALL_GRID:
-        for n in range(1, n_max + 1):
-            assert oracle_count_classes(kind, n) == count_classes(kind, n), (kind, n)
+@pytest.fixture(scope="module")
+def grid_rows():
+    """The oracle's rows of each SMALL_GRID family, one search at its bound."""
+    return {kind: oracle_table(kind, top) for kind, top in SMALL_GRID}
 
 
-def test_oracle_orientable_split_matches_formulas():
-    for p, n_max in ((2, 5), (3, 4)):
-        kind = NonOrientableSurface(p)
-        for n in range(1, n_max + 1):
-            plus, minus = oracle_orientable_split(kind, n)
-            assert (plus, minus) == kind.split(n), (p, n)
+def test_oracle_subgroup_counts_match_formulas(grid_rows):
+    for kind, rows in grid_rows.items():
+        for row in rows:
+            assert row.subgroups == count_subgroups(kind, row.n), (kind, row.n)
 
 
-@st.composite
-def grid_tables(draw):
-    kind, top = draw(st.sampled_from(SMALL_GRID))
-    return kind, draw(st.integers(1, top))
+def test_oracle_class_counts_match_formulas(grid_rows):
+    for kind, rows in grid_rows.items():
+        for row in rows:
+            assert row.conjugacy_classes == count_classes(kind, row.n), (kind, row.n)
 
 
-@settings(max_examples=30, deadline=None)
-@given(grid_tables())
-def test_oracle_matches_every_table_row(kind_and_bound):
+def test_oracle_orientable_split_matches_formulas(grid_rows):
+    for kind in (NonOrientableSurface(2), NonOrientableSurface(3)):
+        for row in grid_rows[kind]:
+            assert split(row) == kind.split(row.n), (kind, row.n)
+
+
+def test_oracle_matches_every_table_row(grid_rows):
     # The rows that table prints and verify checks, from the multi-index
-    # driver, against the oracle.
-    kind, n_max = kind_and_bound
-    for row in census_table(kind, n_max):
-        n = row.n
-        assert oracle_count_subgroups(kind, n) == row.subgroups, (kind, n)
-        assert oracle_count_classes(kind, n) == row.conjugacy_classes, (kind, n)
-        split = row.orientable_subgroups, row.nonorientable_subgroups
-        if isinstance(kind, NonOrientableSurface):
-            assert oracle_orientable_split(kind, n) == split, (kind, n)
-        else:
-            assert split == (None, None), (kind, n)
+    # driver, against the oracle's rows of one search: every table up to
+    # each grid bound, equal field by field, n and the split (None on the
+    # orientable kinds) included.
+    for kind, top in SMALL_GRID:
+        for m in range(1, top + 1):
+            assert census_table(kind, m) == grid_rows[kind][:m], (kind, m)
 
 
 def tuple_brute_force(rel, gens, n):
@@ -123,7 +114,6 @@ def test_coset_search_matches_tuple_brute_force():
         rel, gens = _presentation(kind)
         expected = tuple(tuple_brute_force(rel, gens, m) for m in range(1, n_max + 1))
         for n in range(1, n_max + 1):
-            _coset_search.cache_clear()
             assert _coset_search(rel, gens, n) == expected[:n], (kind, n)
 
 
@@ -216,7 +206,7 @@ def test_resuming_a_comparison_equals_scanning_afresh(gens, n, order):
         assert 0 in states
 
 
-def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
+def test_coset_search_rechecks_its_results(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(_pykernels, "satisfies_relation", lambda rel, images, n: False)
         with pytest.raises(ConsistencyError, match="bad table"):
@@ -268,17 +258,23 @@ def test_coset_search_rechecks_its_results(monkeypatch, cold_package):
         patch.setattr(oracle, "_resume", keeps_base_one)
         with pytest.raises(ConsistencyError, match=r"kept 1 live bases .* = 1$"):
             _coset_search(_pykernels.REL_FREE, 2, 3)
-    assert _coset_search.cache_info().currsize == 0
 
 
-def test_coset_search_checks_the_leaves_below_its_index(monkeypatch, cold_package):
+def test_coset_search_checks_the_leaves_below_its_index(monkeypatch):
     # The leaves of index m < n are checked as the index-n ones are: one
     # base too many counted as fixing H on those tables alone.
     real = oracle._fixed_bases
     monkeypatch.setattr(oracle, "_fixed_bases", lambda fwd, m: real(fwd, m) + (m < 3))
     with pytest.raises(ConsistencyError, match=r"\[N\(H\):H\] = 2 does not divide 1"):
         _coset_search(_pykernels.REL_FREE, 2, 3)
-    assert _coset_search.cache_info().currsize == 0
+
+
+def test_oracle_table_checks_its_rows(monkeypatch):
+    # An index-2 triple with N > M from the search: census_table's row check
+    # refuses it on the oracle's side too.
+    monkeypatch.setattr(oracle, "_coset_search", lambda rel, gens, n: ((1, 1, 0), (2, 3, 0)))
+    with pytest.raises(ConsistencyError, match="subgroup/class bounds violated"):
+        oracle_table(Free(2), 2)
 
 
 def leaf_verdict(fwd, n, seen):
@@ -323,7 +319,8 @@ def test_fixed_bases_agrees_with_compare():
 def test_oracle_split_at_index_one():
     # The group itself is its only index-1 subgroup and is non-orientable.
     for p in range(2, 5):
-        assert oracle_orientable_split(NonOrientableSurface(p), 1) == (0, 1)
+        (row,) = oracle_table(NonOrientableSurface(p), 1)
+        assert split(row) == (0, 1)
 
 
 def test_oracle_epi_count_examples():
@@ -354,92 +351,74 @@ def test_oracle_epi_count_bounds():
         oracle_epi_count(HomologySignature((), 1), 0)
 
 
-# One call per counter and relation: the descend entries of its coset
-# search, and its result.  The last two are the heaviest searches of
-# perfbench's oracle-verify workload (orient:2 n=4 has M = 5,275): their
-# exact node counts tie that workload's times to the same search tree.
+# One search per column and relation: the descend entries of its coset
+# search, and a field of its last row.  The last two are the heaviest
+# searches of perfbench's oracle-verify workload (orient:2 n=4 has
+# M = 5,275): their exact node counts tie that workload's times to the same
+# search tree.
 BUDGET_CASES = {
-    "free:2 n=5 subgroups": (lambda: oracle_count_subgroups(Free(2), 5), 710, 461),
-    "orient:2 n=3 classes": (lambda: oracle_count_classes(OrientableSurface(2), 3), 983, 100),
-    "nonorient:3 n=4 split": (
-        lambda: oracle_orientable_split(NonOrientableSurface(3), 4), 792, (15, 212)
+    "free:2 n=5 subgroups": (lambda: oracle_table(Free(2), 5)[-1].subgroups, 710, 461),
+    "orient:2 n=3 classes": (
+        lambda: oracle_table(OrientableSurface(2), 3)[-1].conjugacy_classes, 983, 100
     ),
-    "orient:2 n=4 classes": (lambda: oracle_count_classes(OrientableSurface(2), 4), 19602, 1615),
+    "nonorient:3 n=4 split": (
+        lambda: split(oracle_table(NonOrientableSurface(3), 4)[-1]), 792, (15, 212)
+    ),
+    "orient:2 n=4 classes": (
+        lambda: oracle_table(OrientableSurface(2), 4)[-1].conjugacy_classes, 19602, 1615
+    ),
     "nonorient:3 n=5 split": (
-        lambda: oracle_orientable_split(NonOrientableSurface(3), 5), 4955, (0, 1296)
+        lambda: split(oracle_table(NonOrientableSurface(3), 5)[-1]), 4955, (0, 1296)
     ),
 }
 
 
-def test_feasibility_gate(monkeypatch, cold_package):
-    # The node limit refuses each counter on a search that overruns it,
-    # naming the group and the index; the real limit is never reached here.
+def test_feasibility_gate(monkeypatch):
+    # The node limit refuses each family's search that overruns it, naming
+    # the group and the index; the real limit is never reached here.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 400)
     with pytest.raises(ResourceLimitError, match=r"^free:2 at index 50: .* limit of 400 nodes"):
-        oracle_count_subgroups(Free(2), 50)
+        oracle_table(Free(2), 50)
     with pytest.raises(ResourceLimitError, match="orient:2 at index 8"):
-        oracle_count_classes(OrientableSurface(2), 8)
+        oracle_table(OrientableSurface(2), 8)
     with pytest.raises(ResourceLimitError, match="nonorient:3 at index 6"):
-        oracle_orientable_split(NonOrientableSurface(3), 6)
+        oracle_table(NonOrientableSurface(3), 6)
     # nonorient:2 at index 12 needs 220 nodes.
-    assert oracle_count_subgroups(NonOrientableSurface(2), 12) == 28
+    assert oracle_table(NonOrientableSurface(2), 12)[-1].subgroups == 28
 
 
 @pytest.mark.parametrize("case", sorted(BUDGET_CASES))
-def test_node_limit_is_exact(monkeypatch, case, cold_package):
+def test_node_limit_is_exact(monkeypatch, case):
     call, nodes, expected = BUDGET_CASES[case]
     monkeypatch.setattr(oracle, "NODE_LIMIT", nodes)
     assert call() == expected
-    _coset_search.cache_clear()
     monkeypatch.setattr(oracle, "NODE_LIMIT", nodes - 1)
     with pytest.raises(ResourceLimitError):
         call()
 
 
-@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
-def test_over_budget_search_caches_nothing(monkeypatch, case, cold_package):
-    call, nodes, expected = BUDGET_CASES[case]
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "NODE_LIMIT", nodes - 1)
-        with pytest.raises(ResourceLimitError):
-            call()
-    assert _coset_search.cache_info().currsize == 0
-    assert call() == expected
-
-
-def test_node_limit_applies_to_each_search_alone(monkeypatch, cold_package):
+def test_node_limit_applies_to_each_search_alone(monkeypatch):
     # Two searches of 710 and 792 nodes both fit a limit of 792.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 792)
-    assert oracle_count_subgroups(Free(2), 5) == 461
-    assert oracle_count_subgroups(NonOrientableSurface(3), 4) == 227
+    assert oracle_table(Free(2), 5)[-1].subgroups == 461
+    assert oracle_table(NonOrientableSurface(3), 4)[-1].subgroups == 227
 
 
-def test_oracle_rejects_a_non_family_argument_before_the_gate(monkeypatch, cold_package):
+def test_oracle_rejects_a_non_family_argument_before_the_gate(monkeypatch):
     # With no node to spend, any search would raise ResourceLimitError.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
-    for bad in (object(), "free:2", None, GroupKind()):
+    for bad in (object(), "free:2", None, GroupKind(), 3):
         with pytest.raises(TypeError, match="unsupported group kind"):
-            oracle_count_subgroups(bad, 2)
-        with pytest.raises(TypeError, match="unsupported group kind"):
-            oracle_count_classes(bad, 2)
-        with pytest.raises(TypeError):
-            oracle_orientable_split(bad, 2)
-    # The split takes the non-orientable record only, not a bare genus.
-    for bad in (Free(2), OrientableSurface(1), 3):
-        with pytest.raises(TypeError, match="needs a NonOrientableSurface"):
-            oracle_orientable_split(bad, 2)
+            oracle_table(bad, 2)
 
 
 def test_oracle_rejects_zero_index():
     with pytest.raises(ValueError):
-        oracle_count_subgroups(Free(2), 0)
+        oracle_table(Free(2), 0)
 
 
 def test_oracle_rejects_bool_and_non_int_indices():
-    for bad in (True, 2.0, "3", None):
-        with pytest.raises(TypeError):
-            oracle_count_subgroups(Free(2), bad)
-        with pytest.raises(TypeError):
-            oracle_count_classes(Free(2), bad)
-        with pytest.raises(TypeError):
-            oracle_orientable_split(NonOrientableSurface(2), bad)
+    for kind in (Free(2), NonOrientableSurface(2)):
+        for bad in (True, 2.0, "3", None):
+            with pytest.raises(TypeError, match="n_max must be an int"):
+                oracle_table(kind, bad)
