@@ -142,13 +142,31 @@ MUTANTS = {
         "another edge already uses b.\n                        continue",
         "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
     ),
-    # The new coset joins the bases uncompared: the same results, but
-    # orient:2 n = 5 visits 13 more nodes, over criterion 4's exact limit.
+    # A column's last free cell waits for its own node instead of being
+    # deduced: the same results on more nodes.
+    "forced cell not deduced": (
+        "src/covercount/oracle.py",
+        "if i == len(trail) and 1 in free:",
+        "if False:",
+        "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+    ),
+    # The free counts start one short, so a column's last two free cells
+    # count as one: with coset n - 1 still unopened, the column's one empty
+    # open row is sent to its least unused target, never to a new coset.
+    "forced cell while a coset is unopened": (
+        "src/covercount/oracle.py",
+        "free = [n] * gens",
+        "free = [n - 1] * gens",
+        "tests/test_oracle.py::test_coset_search_matches_tuple_brute_force",
+    ),
+    # The new coset joins the bases uncompared.  When the forced cells
+    # complete the table in the same define, the leaf finds that base still
+    # live though its re-standardisation is larger.
     "new base uncompared": (
         "src/covercount/oracle.py",
         "kept = []\n                    for state in live if y < count else live + [_start(n, y)]:",
         "kept = [] if y < count else [_start(n, y)]\n                    for state in live:",
-        "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+        "tests/test_acceptance.py::test_criterion_1_free_rank_two_subgroup_counts",
     ),
     # A base that an undefined entry once stopped is never resumed, so the
     # search stops pruning by it and reaches leaves that are not least.

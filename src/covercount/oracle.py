@@ -31,13 +31,13 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  In process a node costs about 2.6 us on free:3 n=5, 3.5 us on
-# free:2 n=7, 4.6 us on orient:2 n=4 and 5.3 us on nonorient:3 n=6 (CPython
+# visit.  In process a node costs about 5.2 us on free:3 n=5, 6.5 us on
+# free:2 n=7, 9.4 us on orient:2 n=4 and 7.1 us on nonorient:3 n=6 (CPython
 # 3.11 on a 2-CPU x86-64 host, CPU time at perfbench's probe reference
-# speed), and verify stops at the limit after 4.5-7.6 s on a busy host: it
-# admits free:2 n=9 (1.76M nodes) and orient:2 n=5 (0.62M), not free:3 n=6
-# (3.3M) or orient:3 n=4 (19M).
-NODE_LIMIT = 2_000_000
+# speed), and verify stops at the limit after 7.8-16.3 s on a busy host: it
+# admits free:2 n=9 (0.87M nodes) and orient:2 n=5 (0.26M), not free:3 n=6
+# (1.24M) or orient:3 n=4 (3.3M).
+NODE_LIMIT = 1_000_000
 
 
 def kernel_backend() -> str:
@@ -99,6 +99,13 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
     inverse relator, the same cycle the other way round, so every trace
     starts at x.g and must end at x.  Each place is built once per search
     as a list of columns to read, so a trace indexes nothing but them.
+    When no edge is left to trace and a column has one undefined cell, that
+    cell is forced as well: its row can only go to the column's one unused
+    target.  The rows of unopened cosets are undefined, so this happens
+    once every coset is open, or when only coset n - 1 is unopened and
+    cosets 0..n-2 are closed under the generator g.  The forced cell is
+    then (n-1).g = n - 1, which every completion that opens coset n - 1
+    has; no other edge reaches that row, so its traces prune nothing.
 
     Re-standardising a table from base point b gives the standard table of
     b's stabiliser, so the tables of one conjugacy class are the
@@ -154,9 +161,11 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
             [(maps[a], [maps[c] for c in behind[: length - 2 - i]], a) for i, a in enumerate(ahead)]
         )
     # Every edge x.g = y defined, as (places of g, column, x, inverse
-    # column, y): undo resets its two cells, and define reads it as the
+    # column, y, g): undo resets its two cells, and define reads it as the
     # queue of edges still to trace.
     trail = []
+    # The undefined cells of each column.
+    free = [n] * gens
     totals = [[0, 0, 0] for _ in range(n)]
 
     def define(x, g, y):
@@ -167,10 +176,11 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
         inverse = inv[g]
         column[x] = y
         inverse[y] = x
+        free[g] -= 1
         i = len(trail)
-        trail.append((places[g], column, x, inverse, y))
+        trail.append((places[g], column, x, inverse, y, g))
         while i < len(trail):
-            own, _, x, _, y = trail[i]
+            own, _, x, _, y, _ = trail[i]
             i += 1
             for place in own:
                 # Read the relator on from x.g = y; it must come back to x.
@@ -205,13 +215,27 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
                         return False
                     column[u] = v
                     inverse[v] = u
-                    trail.append((places[h], column, u, inverse, v))
+                    free[h] -= 1
+                    trail.append((places[h], column, u, inverse, v, h))
+            if i == len(trail) and 1 in free:
+                # The queue has drained and a column has one undefined
+                # cell: a forced edge, traced like a deduction.
+                h = free.index(1)
+                column = fwd[h]
+                inverse = inv[h]
+                u = column.index(-1)
+                v = inverse.index(-1)
+                column[u] = v
+                inverse[v] = u
+                free[h] = 0
+                trail.append((places[h], column, u, inverse, v, h))
         return True
 
     def undo(mark):
-        for _, column, x, inverse, y in trail[mark:]:
+        for _, column, x, inverse, y, g in trail[mark:]:
             column[x] = -1
             inverse[y] = -1
+            free[g] += 1
         del trail[mark:]
 
     def leaf(live, m):

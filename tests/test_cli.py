@@ -334,9 +334,9 @@ def test_verify_infeasible_request(capsys, monkeypatch):
 
 
 def test_verify_refuses_before_printing_any_index(capsys, monkeypatch):
-    # free:2 searches 167 nodes at index 4 and 710 at index 5, so only the
+    # free:2 searches 94 nodes at index 4 and 390 at index 5, so only the
     # last index is over the limit; no line for indices 1 to 4 is printed.
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 167)
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 94)
     code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "5")
     assert (code, out) == (2, "")
     assert err.startswith("error: free:2 at index 5: ")

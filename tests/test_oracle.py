@@ -352,24 +352,33 @@ def test_oracle_epi_count_bounds():
 
 
 # One search per column and relation: the descend entries of its coset
-# search, and a field of its last row.  The last two are the heaviest
-# searches of perfbench's oracle-verify workload (orient:2 n=4 has
-# M = 5,275): their exact node counts tie that workload's times to the same
-# search tree.
+# search, and a field of its last row.  orient:2 n=4 and nonorient:3 n=5
+# are the heaviest searches of perfbench's oracle-verify workload (orient:2
+# n=4 has M = 5,275): their exact node counts tie that workload's times to
+# the same search tree.
 BUDGET_CASES = {
-    "free:2 n=5 subgroups": (lambda: oracle_table(Free(2), 5)[-1].subgroups, 710, 461),
+    "free:2 n=5 subgroups": (lambda: oracle_table(Free(2), 5)[-1].subgroups, 390, 461),
     "orient:2 n=3 classes": (
-        lambda: oracle_table(OrientableSurface(2), 3)[-1].conjugacy_classes, 983, 100
+        lambda: oracle_table(OrientableSurface(2), 3)[-1].conjugacy_classes, 334, 100
     ),
     "nonorient:3 n=4 split": (
-        lambda: split(oracle_table(NonOrientableSurface(3), 4)[-1]), 792, (15, 212)
+        lambda: split(oracle_table(NonOrientableSurface(3), 4)[-1]), 429, (15, 212)
     ),
     "orient:2 n=4 classes": (
-        lambda: oracle_table(OrientableSurface(2), 4)[-1].conjugacy_classes, 19602, 1615
+        lambda: oracle_table(OrientableSurface(2), 4)[-1].conjugacy_classes, 7711, 1615
     ),
     "nonorient:3 n=5 split": (
-        lambda: split(oracle_table(NonOrientableSurface(3), 5)[-1]), 4955, (0, 1296)
+        lambda: split(oracle_table(NonOrientableSurface(3), 5)[-1]), 2764, (0, 1296)
     ),
+    # free:1's one index-n table is the n-cycle.  Each cell k.a with
+    # k < n - 1 has two children: k.a = 0 closes a cycle, a leaf of index
+    # k + 1, and k.a = k + 1 opens a coset.  Once coset n - 1 is open,
+    # (n - 1).a = 0 is the last free cell of the only column, a deduction
+    # rather than a node: 1 + 2(n - 1) nodes.
+    **{
+        f"free:1 n={n} cycle": (lambda n=n: oracle_table(Free(1), n)[-1].subgroups, 2 * n - 1, 1)
+        for n in range(2, 7)
+    },
 }
 
 
@@ -383,7 +392,7 @@ def test_feasibility_gate(monkeypatch):
         oracle_table(OrientableSurface(2), 8)
     with pytest.raises(ResourceLimitError, match="nonorient:3 at index 6"):
         oracle_table(NonOrientableSurface(3), 6)
-    # nonorient:2 at index 12 needs 220 nodes.
+    # nonorient:2 at index 12 needs 214 nodes.
     assert oracle_table(NonOrientableSurface(2), 12)[-1].subgroups == 28
 
 
@@ -398,8 +407,8 @@ def test_node_limit_is_exact(monkeypatch, case):
 
 
 def test_node_limit_applies_to_each_search_alone(monkeypatch):
-    # Two searches of 710 and 792 nodes both fit a limit of 792.
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 792)
+    # Two searches of 390 and 429 nodes both fit a limit of 429.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 429)
     assert oracle_table(Free(2), 5)[-1].subgroups == 461
     assert oracle_table(NonOrientableSurface(3), 4)[-1].subgroups == 227
 
