@@ -159,6 +159,16 @@ MUTANTS = {
         "free = [n - 1] * gens",
         "tests/test_oracle.py::test_coset_search_matches_tuple_brute_force",
     ),
+    # Once every coset is open the search still branches in reading order,
+    # not on the column with the fewest free cells: the same results on more
+    # nodes.  Criterion 4's exact limit fails first; test_node_limit_is_exact
+    # fails on it too.
+    "column choice off": (
+        "src/covercount/oracle.py",
+        "        if count < n:\n            while True:",
+        "        if True:\n            while True:",
+        "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
+    ),
     # The new coset joins the bases uncompared.  When the forced cells
     # complete the table in the same define, the leaf finds that base still
     # live though its re-standardisation is larger.
@@ -188,8 +198,8 @@ MUTANTS = {
     # read 0, and their tables go unchecked.
     "leaf of index n only": (
         "src/covercount/oracle.py",
-        "                leaf(live, count)\n",
-        "                if count == n:\n                    leaf(live, count)\n",
+        "                    leaf(live, count)\n",
+        "                    if count == n:\n                        leaf(live, count)\n",
         "tests/test_oracle.py::test_coset_search_checks_the_leaves_below_its_index",
     ),
     # The oracle's rows skip census_table's row check.

@@ -31,12 +31,12 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  In process a node costs about 5.2 us on free:3 n=5, 6.5 us on
-# free:2 n=7, 9.4 us on orient:2 n=4 and 7.1 us on nonorient:3 n=6 (CPython
+# visit.  In process a node costs about 5.4 us on free:3 n=5, 6.8 us on
+# free:2 n=7, 10.2 us on orient:2 n=4 and 9.7 us on nonorient:3 n=6 (CPython
 # 3.11 on a 2-CPU x86-64 host, CPU time at perfbench's probe reference
-# speed), and verify stops at the limit after 7.8-16.3 s on a busy host: it
-# admits free:2 n=9 (0.87M nodes) and orient:2 n=5 (0.26M), not free:3 n=6
-# (1.24M) or orient:3 n=4 (3.3M).
+# speed), and verify stops at the limit after 4.7-9.1 s on one CPU: it
+# admits free:2 n=9 (0.84M nodes) and orient:2 n=5 (0.15M), not free:3 n=6
+# (1.12M) or orient:3 n=4 (1.92M).
 NODE_LIMIT = 1_000_000
 
 
@@ -85,11 +85,18 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
     appear as the entries are read by coset, then by generator.  Index-n
     subgroups correspond one to one with complete standard tables on n
     cosets whose columns are permutations satisfying the relator, the
-    subgroup being the stabiliser of coset 0.  The search fills entries in
-    that reading order, giving each one an existing coset not yet in its
-    column's image or else the next unused coset.  A node whose first m
-    cosets close up under every generator is a leaf of index m: the index-m
-    search is this one cut to the nodes that open at most m cosets.
+    subgroup being the stabiliser of coset 0.  While a coset is unopened the
+    search fills entries in that reading order, giving each one an existing
+    coset not yet in its column's image or else the next unused coset.  A
+    node whose first m cosets close up under every generator is a leaf of
+    index m: the index-m search is this one cut to the nodes that open at
+    most m cosets.  Once every coset is open, each undefined cell of a
+    column g can take any of the column's free[g] unused targets, so the
+    search branches on the first column with the fewest undefined cells, at
+    its first undefined row (the fewest-candidates choice of backtracking),
+    and a node with none is the leaf of index n.  Before then only the first
+    undefined entry in reading order may open the next coset, so a branch on
+    any other cell would leave out the completions that open it there.
 
     After each entry is defined, the relator is traced through the new
     edge for every place its generator occurs in the relator.  A trace of
@@ -263,18 +270,31 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
         nodes += 1
         if nodes > limit:
             raise ResourceLimitError(f"the coset search exceeds the limit of {limit} nodes")
-        while True:
-            if g == gens:
-                x += 1
-                g = 0
-            if x == count:
-                # Cosets 0..count-1 are closed under every generator: a
-                # complete table of index count.
-                leaf(live, count)
+        if count < n:
+            while True:
+                if g == gens:
+                    x += 1
+                    g = 0
+                if x == count:
+                    # Cosets 0..count-1 are closed under every generator: a
+                    # complete table of index count.
+                    leaf(live, count)
+                    return
+                if fwd[g][x] < 0:
+                    break
+                g += 1
+        else:
+            # Every coset is open, so each free cell of column g has the
+            # same free[g] candidates: branch on the first column with the
+            # fewest, at its first free row.
+            fewest = n + 1
+            for h, k in enumerate(free):
+                if 0 < k < fewest:
+                    fewest, g = k, h
+            if fewest > n:
+                leaf(live, n)
                 return
-            if fwd[g][x] < 0:
-                break
-            g += 1
+            x = fwd[g].index(-1)
         image = inv[g]
         mark = len(trail)
         for y in range(count + (count < n)):

@@ -65,11 +65,11 @@ def test_criterion_3_torus_counts_are_divisor_sums():
 
 def test_criterion_4_genus_two_surface(monkeypatch):
     start = time.perf_counter()
-    # The least-table pruning keeps the index-5 search to exactly 256,654
+    # The least-table pruning keeps the index-5 search to exactly 151,160
     # nodes (the full-leaf reference in the tests visits 1,974,904).  The
     # limit is that count, so any lost prune fails here; the comparison of
     # a newly opened coset prunes 2,283 times in this search.
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 256_654)
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 151_160)
     genus2 = OrientableSurface(2)
     assert count_subgroups(genus2, 2) == 15
     assert count_classes(genus2, 2) == 15
@@ -174,9 +174,9 @@ def test_criterion_9_character_degrees():
 
 def test_criterion_10_free_rank_two_oracle_at_index_eight(monkeypatch):
     start = time.perf_counter()
-    # Within exactly the 100,276 nodes it visits (the full-leaf reference in
+    # Within exactly the 96,522 nodes it visits (the full-leaf reference in
     # the tests, 1,122,878).
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 100_276)
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 96_522)
     row = oracle_table(Free(2), 8)[-1]
     assert row.subgroups == count_subgroups(Free(2), 8) == 273343
     assert row.conjugacy_classes == count_classes(Free(2), 8) == 34470

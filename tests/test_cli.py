@@ -334,7 +334,7 @@ def test_verify_infeasible_request(capsys, monkeypatch):
 
 
 def test_verify_refuses_before_printing_any_index(capsys, monkeypatch):
-    # free:2 searches 94 nodes at index 4 and 390 at index 5, so only the
+    # free:2 searches 94 nodes at index 4 and 381 at index 5, so only the
     # last index is over the limit; no line for indices 1 to 4 is printed.
     monkeypatch.setattr(oracle, "NODE_LIMIT", 94)
     code, out, err = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "5")
