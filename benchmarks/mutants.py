@@ -138,16 +138,16 @@ MUTANTS = {
     # A deduced edge that clashes is skipped instead of pruning the branch.
     "deduction clash": (
         "src/covercount/oracle.py",
-        "another edge already uses b.\n                        return False",
-        "another edge already uses b.\n                        continue",
+        "another edge already uses b.\n                            return False",
+        "another edge already uses b.\n                            continue",
         "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
     ),
     # A column's last free cell waits for its own node instead of being
     # deduced: the same results on more nodes.
     "forced cell not deduced": (
         "src/covercount/oracle.py",
-        "if i == len(trail) and 1 in free:",
-        "if False:",
+        "if 1 not in free:",
+        "if True:",
         "tests/test_acceptance.py::test_criterion_4_genus_two_surface",
     ),
     # The free counts start one short, so a column's last two free cells
@@ -208,6 +208,14 @@ MUTANTS = {
         "_check_row(row)",
         "pass",
         "tests/test_oracle.py::test_oracle_table_checks_its_rows",
+    ),
+    # verify prints PASS, and exits 0, whatever the two rows hold.
+    # test_verify_reports_a_split_mismatch fails on it first.
+    "verify passes every row": (
+        "src/covercount/cli.py",
+        "ok = formula == brute",
+        "ok = True",
+        "tests/test_cli.py::test_verify_reports_mismatches",
     ),
 }
 

@@ -68,6 +68,7 @@ class GroupKind(Record):
     def split(self, m: int) -> tuple[int, int] | None:
         """(orientable, non-orientable) index-m subgroup counts, or None
         when the family's subgroups do not split by orientability."""
+        check_index(m, "m")
         return None
 
 
@@ -84,9 +85,11 @@ class Free(GroupKind):
         return free_subgroups(m, self.rank)
 
     def fiber(self, m: int) -> list["FiberClass"]:
-        # Every index-m subgroup is free of rank (r-1)m + 1.
+        # Every index-m subgroup is free of rank (r-1)m + 1.  The count
+        # comes first: it checks m.
+        count = self.subgroups(m)
         signature = HomologySignature(rank=(self.rank - 1) * m + 1)
-        return [FiberClass(signature, self.subgroups(m))]
+        return [FiberClass(signature, count)]
 
 
 class OrientableSurface(GroupKind):
@@ -103,9 +106,11 @@ class OrientableSurface(GroupKind):
 
     def fiber(self, m: int) -> list["FiberClass"]:
         # Every index-m subgroup is the orientable surface group of genus
-        # (g-1)m + 1, with abelianisation of rank 2(g-1)m + 2.
+        # (g-1)m + 1, with abelianisation of rank 2(g-1)m + 2.  The count
+        # comes first: it checks m.
+        count = self.subgroups(m)
         signature = HomologySignature(rank=2 * (self.genus - 1) * m + 2)
-        return [FiberClass(signature, self.subgroups(m))]
+        return [FiberClass(signature, count)]
 
 
 class NonOrientableSurface(GroupKind):

@@ -2,7 +2,9 @@
 
 Subcommands: count (one number for one group and index), table (a census
 over 1..max-index as CSV or JSON), verify (formula routes against the
-brute-force oracle), epi (epimorphism counts onto a cyclic group).  Results
+brute-force oracle), epi (epimorphism counts onto a cyclic group).  table
+and verify print one column layout, n, M, [M_plus, M_minus,] N, which
+verify labels M+ and M- and compares whole, n included.  Results
 go to stdout, diagnostics to stderr.  Exit status is 0 on success, 1 when
 verify finds a mismatch, 2 on argument, domain or resource errors (running
 out of memory included), 3 on an internal fault: a ConsistencyError (a
@@ -62,17 +64,20 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _columns(row) -> dict:
+    # A row's fields under table's column names, in table's order.
+    columns = {"n": row.n, "M": row.subgroups}
+    if row.orientable_subgroups is not None:
+        columns["M_plus"] = row.orientable_subgroups
+        columns["M_minus"] = row.nonorientable_subgroups
+    columns["N"] = row.conjugacy_classes
+    return columns
+
+
 def cmd_table(args) -> int:
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
-    records = []
-    for row in census_table(kind, n_max):
-        record = {"n": row.n, "M": row.subgroups}
-        if row.orientable_subgroups is not None:
-            record["M_plus"] = row.orientable_subgroups
-            record["M_minus"] = row.nonorientable_subgroups
-        record["N"] = row.conjugacy_classes
-        records.append(record)
+    records = [_columns(row) for row in census_table(kind, n_max)]
     if args.format == "json":
         import json
         print(json.dumps(records, separators=(",", ":")))
@@ -89,29 +94,22 @@ def cmd_verify(args) -> int:
 
     kind = parse_group_spec(args.group)
     n_max = check_index(args.max_index, "--max-index")
+    labels = {"M_plus": "M+", "M_minus": "M-"}
     failures = 0
     # The oracle's rows, all from one search at n_max, come first: one over
     # the node limit is refused before any line is printed.  The formula
-    # side is the rows that table prints, from one pass.
+    # side is the rows that table prints, from one pass, compared whole.
     oracle_rows = oracle.oracle_table(kind, n_max)
     for oracle_row, row in zip(oracle_rows, census_table(kind, n_max), strict=True):
-        n = row.n
-        checks = [("M", row.subgroups, oracle_row.subgroups)]
-        if row.orientable_subgroups is not None:
-            checks.append(("M+", row.orientable_subgroups, oracle_row.orientable_subgroups))
-            checks.append(("M-", row.nonorientable_subgroups, oracle_row.nonorientable_subgroups))
-        checks.append(("N", row.conjugacy_classes, oracle_row.conjugacy_classes))
+        formula, brute = _columns(row), _columns(oracle_row)
+        ok = formula == brute
+        failures += not ok
         fields = []
-        ok = True
-        for label, formula, brute in checks:
-            if formula == brute:
-                fields.append(f"{label}={formula}")
-            else:
-                fields.append(f"{label}={formula}!={brute}")
-                ok = False
-        if not ok:
-            failures += 1
-        print(f"n={n} {'PASS' if ok else 'FAIL'} {' '.join(fields)}")
+        for column, value in formula.items():
+            field = f"{labels.get(column, column)}={value}"
+            fields.append(field if value == brute[column] else f"{field}!={brute[column]}")
+        n, *rest = fields
+        print(n, "PASS" if ok else "FAIL", *rest)
     return 1 if failures else 0
 
 

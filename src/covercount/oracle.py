@@ -108,7 +108,10 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
     as a list of columns to read, so a trace indexes nothing but them.
     When no edge is left to trace and a column has one undefined cell, that
     cell is forced as well: its row can only go to the column's one unused
-    target.  The rows of unopened cosets are undefined, so this happens
+    target.  define writes it by the same path as the edge it was given,
+    then traces it; the test for a forced cell runs once each time the
+    queue of edges to trace drains, and deductions are written where they
+    are found.  The rows of unopened cosets are undefined, so this happens
     once every coset is open, or when only coset n - 1 is unopened and
     cosets 0..n-2 are closed under the generator g.  The forced cell is
     then (n-1).g = n - 1, which every completion that opens coset n - 1
@@ -178,65 +181,61 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
     def define(x, g, y):
         # Set x.g = y, both ends free, and follow the relator through every
         # new edge; False when a trace fails to close.  Edges defined stay
-        # on the trail.
-        column = fwd[g]
-        inverse = inv[g]
-        column[x] = y
-        inverse[y] = x
-        free[g] -= 1
-        i = len(trail)
-        trail.append((places[g], column, x, inverse, y, g))
-        while i < len(trail):
-            own, _, x, _, y, _ = trail[i]
-            i += 1
-            for place in own:
-                # Read the relator on from x.g = y; it must come back to x.
-                f = y
-                for step, behind, gap in place:
-                    nxt = step[f]
-                    if nxt < 0:
-                        break
-                    f = nxt
-                else:
-                    if f != x:
-                        return False
-                    continue
-                b = x
-                for step in behind:
-                    b = step[b]
-                    if b < 0:
-                        break
-                else:
-                    # Exactly one edge is missing: f.gap = b.
-                    if gap < gens:
-                        u, h, v = f, gap, b
+        # on the trail.  The chosen edge and each forced cell go through the
+        # one write at the head of the loop; a deduction is written inline.
+        while True:
+            column = fwd[g]
+            inverse = inv[g]
+            column[x] = y
+            inverse[y] = x
+            free[g] -= 1
+            i = len(trail)
+            trail.append((places[g], column, x, inverse, y, g))
+            while i < len(trail):
+                own, _, x, _, y, _ = trail[i]
+                i += 1
+                for place in own:
+                    # Read the relator on from x.g = y; it must come back to x.
+                    f = y
+                    for step, behind, gap in place:
+                        nxt = step[f]
+                        if nxt < 0:
+                            break
+                        f = nxt
                     else:
-                        u, h, v = b, gap - gens, f
-                    column = fwd[h]
-                    inverse = inv[h]
-                    if column[u] >= 0 or inverse[v] >= 0:
-                        # A clash at the far end b: the trace stopped at f,
-                        # on the empty cell column[u] (gap < gens) or
-                        # inverse[v] (gap >= gens), so the edge is not
-                        # there and another edge already uses b.
-                        return False
-                    column[u] = v
-                    inverse[v] = u
-                    free[h] -= 1
-                    trail.append((places[h], column, u, inverse, v, h))
-            if i == len(trail) and 1 in free:
-                # The queue has drained and a column has one undefined
-                # cell: a forced edge, traced like a deduction.
-                h = free.index(1)
-                column = fwd[h]
-                inverse = inv[h]
-                u = column.index(-1)
-                v = inverse.index(-1)
-                column[u] = v
-                inverse[v] = u
-                free[h] = 0
-                trail.append((places[h], column, u, inverse, v, h))
-        return True
+                        if f != x:
+                            return False
+                        continue
+                    b = x
+                    for step in behind:
+                        b = step[b]
+                        if b < 0:
+                            break
+                    else:
+                        # Exactly one edge is missing: f.gap = b.
+                        if gap < gens:
+                            u, h, v = f, gap, b
+                        else:
+                            u, h, v = b, gap - gens, f
+                        column = fwd[h]
+                        inverse = inv[h]
+                        if column[u] >= 0 or inverse[v] >= 0:
+                            # A clash at the far end b: the trace stopped at
+                            # f, on the empty cell column[u] (gap < gens) or
+                            # inverse[v] (gap >= gens), so the edge is not
+                            # there and another edge already uses b.
+                            return False
+                        column[u] = v
+                        inverse[v] = u
+                        free[h] -= 1
+                        trail.append((places[h], column, u, inverse, v, h))
+            # The queue has drained.  A column with one undefined cell
+            # forces it: the next edge to write and trace.
+            if 1 not in free:
+                return True
+            g = free.index(1)
+            x = fwd[g].index(-1)
+            y = inv[g].index(-1)
 
     def undo(mark):
         for _, column, x, inverse, y, g in trail[mark:]:
@@ -428,7 +427,7 @@ def oracle_table(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
         counts = _coset_search(rel, gens, n_max)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{kind} at index {n_max}: {exc}") from None
-    split = isinstance(kind, NonOrientableSurface)
+    split = rel == _pykernels.REL_SQUARES
     rows = []
     for n, (subgroups, classes, orientable) in enumerate(counts, 1):
         halves = (orientable, subgroups - orientable) if split else ()

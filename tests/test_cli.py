@@ -198,6 +198,26 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     assert lines[0].startswith("n=1 PASS")
 
 
+def test_verify_compares_the_index_too(capsys, monkeypatch):
+    # The oracle's rows numbered from 2: every count agrees with the
+    # formula's row, only n does not.
+    real = oracle.oracle_table
+
+    def shifted(kind, n_max):
+        return tuple(
+            CensusRow(row.n + 1, row.subgroups, row.conjugacy_classes) for row in real(kind, n_max)
+        )
+
+    monkeypatch.setattr(oracle, "oracle_table", shifted)
+    code, out, _ = run_cli(capsys, "verify", "--group", "free:2", "--max-index", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "n=1!=2 FAIL M=1 N=1",
+        "n=2!=3 FAIL M=3 N=3",
+        "n=3!=4 FAIL M=13 N=7",
+    ]
+
+
 def test_verify_makes_one_coset_search_per_group(capsys, monkeypatch):
     # The three operations of perfbench's oracle-verify workload: each reads
     # every index from one search at its --max-index.

@@ -22,7 +22,7 @@ from covercount.census import (
     r_nu_recursive,
 )
 from covercount.characters import beta, hook_spectrum
-from covercount.classes import count_classes
+from covercount.classes import census_table, count_classes
 from covercount.errors import check_index
 from covercount.numtheory import divisors, mobius
 
@@ -37,9 +37,15 @@ INDEXED = {
     "beta": lambda k: beta(k, 2),
     "hook_spectrum": hook_spectrum,
     "partitions": partitions,
+    "Free(2).split": Free(2).split,
+    "OrientableSurface(2).split": OrientableSurface(2).split,
     "NonOrientableSurface(3).split": NonOrientableSurface(3).split,
+    "Free(2).fiber": Free(2).fiber,
+    "OrientableSurface(2).fiber": OrientableSurface(2).fiber,
+    "NonOrientableSurface(3).fiber": NonOrientableSurface(3).fiber,
     "covering_fiber": lambda m: covering_fiber(Free(2), m),
     "count_classes": lambda n: count_classes(Free(2), n),
+    "census_table": lambda n: census_table(Free(2), n),
     "divisors": divisors,
     "mobius": mobius,
     "euler_phi": euler_phi,
@@ -85,6 +91,13 @@ def test_parameters_refuse_bool_and_non_int_cold_and_warm(name, bad, cold_packag
         call(bad)
     with pytest.raises(ValueError):
         call(minimum - 1)
+
+
+def test_fiber_names_the_index_it_refuses():
+    # The index is checked before the subgroups' signature is built from it,
+    # so the error names m, not the rank computed from it.
+    with pytest.raises(TypeError, match="m must be an int"):
+        Free(2).fiber(2.0)
 
 
 def test_check_index_accepts_positive_ints_only():
