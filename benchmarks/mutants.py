@@ -202,6 +202,25 @@ MUTANTS = {
         "                    if count == n:\n                        leaf(live, count)\n",
         "tests/test_oracle.py::test_coset_search_checks_the_leaves_below_its_index",
     ),
+    # The search traces the plain product of commutators and of squares
+    # again while the leaf re-check keeps the inverted words.  Both words
+    # present the group, but the leaf re-check now refuses tables the search
+    # finds: criterion 4 fails first on it, and the agreement test fails on
+    # every case but orient:1's, whose two words both say a and b commute.
+    "relator words disagree": (
+        "src/covercount/oracle.py",
+        "            a = gens + g if g == 0 else g\n"
+        "            b = gens + g + 1 if g == gens - 2 else g + 1\n"
+        "            word += [a, b, (a + gens) % (2 * gens), (b + gens) % (2 * gens)]\n"
+        "        return tuple(word)\n"
+        "    if rel == _pykernels.REL_SQUARES:\n"
+        "        return tuple(g if g == gens - 1 else gens + g for g in range(gens) for _ in range(2))\n",
+        "            word += [g, g + 1, gens + g, gens + g + 1]\n"
+        "        return tuple(word)\n"
+        "    if rel == _pykernels.REL_SQUARES:\n"
+        "        return tuple(g for g in range(gens) for _ in range(2))\n",
+        "tests/test_oracle.py::test_relator_and_satisfies_relation_read_the_same_word",
+    ),
     # The oracle's rows skip census_table's row check.
     "oracle rows unchecked": (
         "src/covercount/oracle.py",

@@ -10,9 +10,18 @@ them by name, until ROADMAP item 1 moves the benchmark onto the coset
 search.  Permutations are sequences mapping point -> image (tuples in the
 counters, the search's column lists at a leaf), composed left factor first.
 
-Relation codes: REL_FREE (no defining relation), REL_COMMUTATOR (the
-product of commutators [a1,b1]...[ag,bg] over consecutive generator pairs),
-REL_SQUARES (the product of squares a1^2...ap^2).
+Relation codes, each naming one word in the generators, with [x,y] the
+commutator x y x^-1 y^-1:
+- REL_FREE: no defining relation.
+- REL_COMMUTATOR: [a1^-1,b1][a2,b2]...[ag,bg^-1] over consecutive
+  generator pairs (a1,b1), ..., (ag,bg); for g = 1 it is [a1^-1,b1^-1].
+- REL_SQUARES: a1^-2...a_(p-1)^-2 ap^2.
+These are the plain product of commutators and the plain product of squares
+with a1, bg and a1..a_(p-1) inverted.  Inverting a generator maps the tuples
+satisfying one word one to one onto those satisfying the other, keeping
+transitivity and each generator's orientation sign, so every count here is
+that of the plain words; the oracle's coset search reads the same words
+(oracle._relator), whose search trees are smaller.
 """
 
 from itertools import permutations, product
@@ -34,22 +43,32 @@ def satisfies_relation(rel, images, n):
     if rel == REL_FREE:
         return True
     if rel == REL_SQUARES:
+        # a1^-2...a_(p-1)^-2 a_p^2 = 1 exactly when x.a_p^2 equals
+        # x.a_(p-1)^2...a1^2 for every x, which needs no inverse.
+        last = images[-1]
+        rest = images[-2::-1]
         for x in range(n):
             y = x
-            for a in images:
+            for a in rest:
                 y = a[a[y]]
-            if y != x:
+            if last[last[x]] != y:
                 return False
         return True
     if rel == REL_COMMUTATOR:
+        # [a1^-1,b1][a2,b2]...[ag,bg^-1], as the images to apply in turn.
         inverses = [_inverse(a) for a in images]
+        word = []
+        for g in range(0, len(images), 2):
+            a, b, a_inv, b_inv = images[g], images[g + 1], inverses[g], inverses[g + 1]
+            if g == 0:
+                a, a_inv = a_inv, a
+            if g == len(images) - 2:
+                b, b_inv = b_inv, b
+            word += [a, b, a_inv, b_inv]
         for x in range(n):
             y = x
-            for g in range(0, len(images), 2):
-                y = images[g][y]
-                y = images[g + 1][y]
-                y = inverses[g][y]
-                y = inverses[g + 1][y]
+            for a in word:
+                y = a[y]
             if y != x:
                 return False
         return True

@@ -11,8 +11,9 @@ class ConsistencyError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A brute-force request exceeds its work bound.  In the package only the
-    oracle's coset search raises it, past its node limit; the epimorphism
-    enumeration's size bounds are test-side, in tests/epi_reference.py."""
+    oracle's coset search raises it, past its node limit or deeper than
+    Python's recursion limit; the epimorphism enumeration's size bounds are
+    test-side, in tests/epi_reference.py."""
 
 
 def check_index(value, name: str = "n", minimum: int = 1) -> int:

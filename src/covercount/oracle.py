@@ -19,9 +19,12 @@ check; _presentation gives each family's relation and generator count.
 
 Everything here is exponential; it exists to confirm the formula routes on
 small indices, not to compute.  A search that visits more than NODE_LIMIT
-nodes stops with ResourceLimitError rather than run for minutes; nothing is
-ever silently truncated.
+nodes, or recurses deeper than Python's recursion limit, stops with
+ResourceLimitError rather than run for minutes or fail with a traceback;
+nothing is ever silently truncated.
 """
+
+import sys
 
 from . import _pykernels
 from .census import Free, GroupKind, NonOrientableSurface, OrientableSurface
@@ -31,12 +34,12 @@ from .errors import ConsistencyError, ResourceLimitError, check_index
 _kernels = _pykernels
 
 # The most nodes (entries to the search's descend step) one coset search may
-# visit.  In process a node costs about 5.4 us on free:3 n=5, 6.8 us on
-# free:2 n=7, 10.2 us on orient:2 n=4 and 9.7 us on nonorient:3 n=6 (CPython
+# visit.  In process a node costs about 5.3 us on free:3 n=5, 7.0 us on
+# free:2 n=7, 11.1 us on orient:2 n=4 and 10.2 us on nonorient:3 n=6 (CPython
 # 3.11 on a 2-CPU x86-64 host, CPU time at perfbench's probe reference
-# speed), and verify stops at the limit after 4.7-9.1 s on one CPU: it
-# admits free:2 n=9 (0.84M nodes) and orient:2 n=5 (0.15M), not free:3 n=6
-# (1.12M) or orient:3 n=4 (1.92M).
+# speed), and verify stops at the limit after 4.7-15 s on one CPU, the most
+# for orient:3: it admits free:2 n=9 (0.84M nodes) and orient:2 n=5
+# (0.12M), not free:3 n=6 (1.12M) or orient:3 n=4 (1.77M).
 NODE_LIMIT = 1_000_000
 
 
@@ -64,16 +67,20 @@ def _presentation(kind: GroupKind) -> tuple[int, int]:
 
 def _relator(rel: int, gens: int) -> tuple[int, ...]:
     # The defining relator as letters: generator g is letter g, its inverse
-    # is letter gens + g.  Same words as _pykernels.satisfies_relation.
+    # is letter gens + g.  The words of the _pykernels module docstring,
+    # which satisfies_relation reads: [a1^-1,b1][a2,b2]...[ag,bg^-1] and
+    # a1^-2...a_(p-1)^-2 ap^2, for the smaller search trees (_coset_search).
     if rel == _pykernels.REL_FREE:
         return ()
     if rel == _pykernels.REL_COMMUTATOR:
         word = []
         for g in range(0, gens, 2):
-            word += [g, g + 1, gens + g, gens + g + 1]
+            a = gens + g if g == 0 else g
+            b = gens + g + 1 if g == gens - 2 else g + 1
+            word += [a, b, (a + gens) % (2 * gens), (b + gens) % (2 * gens)]
         return tuple(word)
     if rel == _pykernels.REL_SQUARES:
-        return tuple(g for g in range(gens) for _ in range(2))
+        return tuple(g if g == gens - 1 else gens + g for g in range(gens) for _ in range(2))
     raise ValueError(f"unknown relation code {rel}")
 
 
@@ -97,6 +104,26 @@ def _coset_search(rel: int, gens: int, n: int) -> tuple[tuple[int, int, int], ..
     and a node with none is the leaf of index n.  Before then only the first
     undefined entry in reading order may open the next coset, so a branch on
     any other cell would leave out the completions that open it there.
+
+    The relator is _relator's word.  Inverting generators gives another
+    presentation of the same group, with the satisfying tuples in one-to-one
+    correspondence, so every such word gives the same rows; but the traces
+    close and deduce at other places, so the trees differ.  Over the 2^gens
+    ways to invert the generators of the plain [a1,b1]...[ag,bg] and
+    a1^2...ap^2, the plain words lie near the largest trees, and inverting
+    a1 and bg, or a1..a_(p-1), gives the smallest at orient:2 and
+    nonorient:3 and is within 1.5% of it at orient:3 n=3 and nonorient:4
+    n=5.  Nodes, plain -> inverted:
+
+        orient:2 n=4            5,751 ->     5,230
+        orient:2 n=5          151,160 ->   120,702
+        orient:3 n=4        1,921,659 -> 1,768,566
+        nonorient:3 n=5         2,032 ->     1,603
+        nonorient:3 n=6        16,086 ->    10,892
+        nonorient:4 n=5       155,064 ->   125,660
+
+    and 237,035 -> 200,898 over the 46 searches of BENCH_relator_words.json's
+    grid, none of them larger.
 
     After each entry is defined, the relator is traced through the new
     edge for every place its generator occurs in the relator.  A trace of
@@ -427,6 +454,13 @@ def oracle_table(kind: GroupKind, n_max: int) -> tuple[CensusRow, ...]:
         counts = _coset_search(rel, gens, n_max)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{kind} at index {n_max}: {exc}") from None
+    except RecursionError:
+        # descend recurses at most n_max * gens deep, so this is a search
+        # too deep for the interpreter, not a fault.
+        raise ResourceLimitError(
+            f"{kind} at index {n_max}: the coset search is deeper than "
+            f"Python's recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     split = rel == _pykernels.REL_SQUARES
     rows = []
     for n, (subgroups, classes, orientable) in enumerate(counts, 1):

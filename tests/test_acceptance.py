@@ -65,11 +65,11 @@ def test_criterion_3_torus_counts_are_divisor_sums():
 
 def test_criterion_4_genus_two_surface(monkeypatch):
     start = time.perf_counter()
-    # The least-table pruning keeps the index-5 search to exactly 151,160
-    # nodes (the full-leaf reference in the tests visits 1,974,904).  The
+    # The least-table pruning keeps the index-5 search to exactly 120,702
+    # nodes (the full-leaf reference in the tests visits 1,411,052).  The
     # limit is that count, so any lost prune fails here; the comparison of
-    # a newly opened coset prunes 2,283 times in this search.
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 151_160)
+    # a newly opened coset prunes 2,073 times in this search.
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 120_702)
     genus2 = OrientableSurface(2)
     assert count_subgroups(genus2, 2) == 15
     assert count_classes(genus2, 2) == 15

@@ -353,6 +353,28 @@ def test_verify_infeasible_request(capsys, monkeypatch):
     assert "exceeds the limit of 400 nodes" in err
 
 
+def test_verify_refuses_a_search_deeper_than_the_recursion_limit(capsys):
+    # free:1's search recurses once per coset, 200 deep at index 200: with
+    # the limit 100 frames above the caller's depth it is refused like an
+    # overrun node limit, not reported as an internal fault.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code, out, err = run_cli(capsys, "verify", "--group", "free:1", "--max-index", "200")
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: free:1 at index 200: the coset search is deeper than "
+        f"Python's recursion limit of {depth + 100}\n"
+    )
+
+
 def test_verify_refuses_before_printing_any_index(capsys, monkeypatch):
     # free:2 searches 94 nodes at index 4 and 381 at index 5, so only the
     # last index is over the limit; no line for indices 1 to 4 is printed.
